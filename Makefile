@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race sanitize bench bench-json smoke smoke-params smoke-clone smoke-coord check clean
+.PHONY: all build vet test race sanitize bench smoke smoke-params smoke-clone smoke-coord check clean
 
 all: check
 
@@ -31,21 +31,12 @@ sanitize:
 race:
 	$(GO) test -race ./...
 
-# bench prints the recorded benchmarks (PR 1 hot paths vs their legacy
-# references, PR 3 transport protocols) without writing anything.
+# bench vets and tests cmd/dfbench, the canonical campaign benchmark. It
+# is a module of its own, so `go test ./...` never builds it; run the
+# benchmark itself with `bash cmd/dfbench/run.sh` (see cmd/dfbench/README.md).
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/perf/
-
-# bench-json reruns the benchmarks through cmd/benchperf and refreshes the
-# recorded BENCH_PR*.json reports.
-bench-json:
-	$(GO) run ./cmd/benchperf -pr 1 -o BENCH_PR1.json
-	$(GO) run ./cmd/benchperf -pr 3 -o BENCH_PR3.json
-	$(GO) run ./cmd/benchperf -pr 5 -o BENCH_PR5.json
-	$(GO) run ./cmd/benchperf -pr 6 -o BENCH_PR6.json
-	$(GO) run ./cmd/benchperf -pr 7 -o BENCH_PR7.json
-	$(GO) run ./cmd/benchperf -pr 8 -o BENCH_PR8.json
-	$(GO) run ./cmd/benchperf -pr 10 -o BENCH_PR10.json
+	$(GO) -C cmd/dfbench vet .
+	$(GO) -C cmd/dfbench test .
 
 # smoke runs a short droidfleet campaign against droidbrokerd over TCP
 # loopback and asserts clean execution and shutdown.

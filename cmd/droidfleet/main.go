@@ -13,12 +13,13 @@
 //
 // -workers bounds how many device engines run at once (0 = one worker per
 // CPU, capped at the fleet size). -pipeline sets each engine's generation
-// look-ahead depth (0 = serial per-device execution, deterministic per
-// seed). -batch makes pipelined engines execute programs in batches of
-// that size through the executors' batch extension; with -remote that is
-// the wire-protocol-v2 fast path — batched frames, delta-coded traces, and
-// the interesting-only summary uplink — and -window bounds how many frames
-// each connection keeps in flight. The campaign runs in -rounds slices,
+// look-ahead depth, and -batch makes engines execute programs in batches of
+// that size through the executors' batch extension; with both at 0 each
+// device runs the serial schedule, deterministic per seed. A batch is
+// generated ahead in full, so -batch N alone implies a look-ahead of N.
+// With -remote, batching is the wire-protocol-v2 fast path — batched
+// frames, delta-coded traces, and the interesting-only summary uplink —
+// and -window bounds how many frames each connection keeps in flight. The campaign runs in -rounds slices,
 // printing fleet stats — including accumulated execution errors — after
 // each, plus per-connection uplink byte savings for remote campaigns.
 //
@@ -82,7 +83,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "base RNG seed (device i uses seed+i)")
 		workers   = flag.Int("workers", 0, "max concurrent device engines (0 = NumCPU)")
 		pipeline  = flag.Int("pipeline", 0, "per-engine generation look-ahead depth (0 = serial)")
-		batch     = flag.Int("batch", 0, "programs per execution batch (0 = per-program execution; needs -pipeline)")
+		batch     = flag.Int("batch", 0, "programs per execution batch (0 = per-program execution; N > 1 generates N programs ahead)")
 		window    = flag.Int("window", 0, "in-flight requests per remote connection (0 = transport default)")
 		rounds    = flag.Int("rounds", 4, "status-report slices to split the campaign into")
 		params     = flag.Bool("params", false, "enable the runtime-parameter dimension (sysfs knob writes in the mutation surface)")
@@ -149,8 +150,6 @@ func (c *fleetConfig) validate() error {
 		return fmt.Errorf("-batch must be >= 0, got %d", c.batch)
 	case c.window < 0:
 		return fmt.Errorf("-window must be >= 0, got %d", c.window)
-	case c.batch > 1 && c.pipeline <= 0:
-		return fmt.Errorf("-batch %d needs -pipeline > 0 (batches are fed by the generation look-ahead)", c.batch)
 	}
 	if c.remote != "" && c.coord != "" {
 		return fmt.Errorf("-remote and -coord are mutually exclusive")

@@ -6,8 +6,8 @@
 //	droidfuzz -device A1 -iters 20000 [-variant droidfuzz] [-seed 1]
 //	          [-corpus DIR] [-stats-every 5000] [-pipeline 4]
 //
-// With -pipeline N the engine runs in batched mode: program generation
-// runs up to N programs ahead of device execution on a producer
+// With -pipeline N the engine runs the pipelined schedule: program
+// generation runs up to N programs ahead of device execution on a producer
 // goroutine. Throughput improves, and campaigns remain reproducible for
 // a fixed seed and depth, but the trajectory differs from serial mode
 // (leave -pipeline at 0 when comparing coverage against recorded runs).
@@ -90,11 +90,7 @@ func run(deviceID string, iters int, seed int64, variant, corpusDir string, stat
 		if iters-done < n {
 			n = iters - done
 		}
-		if pipeline > 0 {
-			eng.RunPipelined(n, pipeline)
-		} else {
-			eng.Run(n)
-		}
+		eng.RunSchedule(n, pipeline, 1)
 		done += n
 		st := eng.Stats()
 		fmt.Printf("[%7d/%d] execs=%d cover=%d signal=%d corpus=%d crashes=%d bugs=%d restores=%d reboots=%d\n",

@@ -17,8 +17,11 @@ import (
 type HostOptions struct {
 	// Name is the advisory operator label sent at registration.
 	Name string
-	// Workers / Pipeline / Batch tune the host daemon's execution layer
-	// (zero keeps the daemon defaults).
+	// Workers bounds the host daemon's worker pool; Pipeline and Batch
+	// shape every engine's schedule (engine.RunSchedule: generation
+	// look-ahead and programs per executor call; Batch > 1 implies a
+	// look-ahead of at least Batch). Zero keeps the daemon defaults — the
+	// serial schedule.
 	Workers  int
 	Pipeline int
 	Batch    int
@@ -32,8 +35,8 @@ type HostOptions struct {
 	// (default 50ms).
 	LeaseRetry time.Duration
 	// Attach overrides how a shard device is attached to the daemon; nil
-	// uses AddDeviceAs with the Engine template. The perf harness injects
-	// an attach that wraps the executor with simulated device latency.
+	// uses AddDeviceAs with the Engine template. The cmd/dfbench tracer
+	// injects an attach that wraps the executor with span recorders.
 	Attach func(d *daemon.Daemon, id, model string, seed int64) error
 }
 

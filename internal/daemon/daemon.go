@@ -37,13 +37,12 @@ type Daemon struct {
 	// maxWorkers bounds the worker pool of parallel runs; 0 means
 	// GOMAXPROCS.
 	maxWorkers int
-	// pipelineDepth, when > 0, makes parallel runs use the engines'
-	// pipelined mode with that generation lookahead.
+	// pipelineDepth and batchSize shape every engine's schedule
+	// (engine.RunSchedule): the generation look-ahead and the programs per
+	// executor call — over a remote link, batches are the windowed
+	// wire-frame + summary-uplink mode. Both zero is the serial schedule.
 	pipelineDepth int
-	// batchSize, when > 1 (and pipelining is on), makes pipelined runs
-	// ship programs in executor batches of this size — over a remote link
-	// that is the windowed wire-frame + summary-uplink mode.
-	batchSize int
+	batchSize     int
 	// learnLog, when set, journals every learn op the parallel applier
 	// lands in the shared graph — the federation uplink's export feed.
 	learnLog *relation.Log
@@ -166,21 +165,20 @@ func (d *Daemon) SetMaxWorkers(n int) {
 	d.mu.Unlock()
 }
 
-// SetPipelineDepth makes parallel runs drive each engine in pipelined mode
-// (generation overlapped with execution) with the given lookahead; 0
-// restores strictly serial per-engine iteration.
+// SetPipelineDepth sets how far each engine's generation runs ahead of
+// execution (engine.RunSchedule); 0 with no batch size restores the
+// strictly serial, seed-deterministic schedule.
 func (d *Daemon) SetPipelineDepth(depth int) {
 	d.mu.Lock()
 	d.pipelineDepth = depth
 	d.mu.Unlock()
 }
 
-// SetBatchSize makes pipelined parallel runs execute programs in batches
-// of n through the executors' BatchExecutor extension (engines over
-// executors without batch support fall back to per-program execution);
-// n <= 1 restores per-program execution. Takes effect only when a pipeline
-// depth is also set — batching without generation lookahead would starve
-// the batches.
+// SetBatchSize makes engines execute programs in batches of n through the
+// executors' BatchExecutor extension (engines over executors without batch
+// support fall back to per-program execution); n <= 1 restores
+// per-program execution. A batch is generated ahead in full, so n > 1
+// implies a look-ahead of at least n even with no pipeline depth set.
 func (d *Daemon) SetBatchSize(n int) {
 	d.mu.Lock()
 	d.batchSize = n
@@ -200,8 +198,10 @@ func (d *Daemon) SetLearnLog(l *relation.Log) {
 // Run executes iters fuzzing iterations on every attached engine. With
 // parallel set, engines are distributed over a bounded worker pool (at most
 // SetMaxWorkers goroutines, defaulting to GOMAXPROCS — the deployment shape
-// of §IV-A without one unbounded goroutine per device); otherwise serially
-// in attach order, which is deterministic for a fixed set of seeds.
+// of §IV-A without one unbounded goroutine per device); otherwise one after
+// another in attach order, which under the default serial schedule is
+// deterministic for a fixed set of seeds. Either way every engine runs the
+// schedule SetPipelineDepth and SetBatchSize shape.
 func (d *Daemon) Run(iters int, parallel bool) {
 	_ = d.RunOn(nil, iters, parallel)
 }
@@ -233,7 +233,7 @@ func (d *Daemon) RunOn(ids []string, iters int, parallel bool) error {
 
 	if !parallel {
 		for _, e := range engines {
-			e.Run(iters)
+			e.RunSchedule(iters, depth, batch)
 		}
 		return nil
 	}
@@ -289,14 +289,7 @@ func (d *Daemon) RunOn(ids []string, iters int, parallel bool) error {
 		go func() {
 			defer wg.Done()
 			for e := range queue {
-				switch {
-				case depth > 0 && batch > 1:
-					e.RunPipelinedBatched(iters, depth, batch)
-				case depth > 0:
-					e.RunPipelined(iters, depth)
-				default:
-					e.Run(iters)
-				}
+				e.RunSchedule(iters, depth, batch)
 			}
 		}()
 	}

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -128,10 +129,20 @@ func TestAttachExecutorRejectsUnboundAndDuplicate(t *testing.T) {
 // TestBatchedRemoteCampaignSavesUplinkBytes runs a windowed, batched
 // remote campaign end to end: a broker served with a per-connection uplink
 // filter, a resilient client with a bounded in-flight window, and a daemon
-// driving the engine in batched pipelined mode. Most executions past warmup
+// driving the engine with batched execution. Most executions past warmup
 // carry no new signal, so the summary uplink must elide traces and the wire
-// accounting must show real byte savings over the flat encoding.
+// accounting must show real byte savings over the flat encoding. The
+// batch-only case (no pipeline depth) must engage batching too: a batch is
+// its own look-ahead.
 func TestBatchedRemoteCampaignSavesUplinkBytes(t *testing.T) {
+	for _, tc := range []struct{ depth, batch int }{{4, 16}, {0, 16}} {
+		t.Run(fmt.Sprintf("depth%d_batch%d", tc.depth, tc.batch), func(t *testing.T) {
+			runBatchedRemoteCampaign(t, tc.depth, tc.batch)
+		})
+	}
+}
+
+func runBatchedRemoteCampaign(t *testing.T, depth, batch int) {
 	model, err := device.ModelByID("A1")
 	if err != nil {
 		t.Fatal(err)
@@ -166,13 +177,16 @@ func TestBatchedRemoteCampaignSavesUplinkBytes(t *testing.T) {
 	if err := d.AttachExecutor("A1", r, nil, engine.Config{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	d.SetPipelineDepth(4)
-	d.SetBatchSize(16)
+	d.SetPipelineDepth(depth)
+	d.SetBatchSize(batch)
 	d.Run(400, true)
 
 	st := d.Stats()["A1"]
 	if st.Execs < 400 {
 		t.Fatalf("execs = %d, want >= 400", st.Execs)
+	}
+	if st.Generated+st.Mutated != 400 {
+		t.Fatalf("generated+mutated = %d, want the full budget of 400", st.Generated+st.Mutated)
 	}
 	if st.ExecErrors != 0 {
 		t.Fatalf("batched campaign produced exec errors: %+v", st)

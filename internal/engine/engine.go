@@ -4,12 +4,15 @@
 // the cross-boundary feedback, minimizes and admits interesting programs,
 // learns relations, and triages crashes.
 //
-// Two run modes exist. Run is strictly serial and deterministic: one RNG
-// drives selection, generation, and admission, so a fixed seed replays a
-// campaign bit-identically. RunPipelined overlaps generation with
-// execution — a producer goroutine keeps a bounded queue of programs
-// generated ahead from its own derived RNG — trading replay determinism for
-// throughput (the deployment-shape tradeoff; see DESIGN.md).
+// Every campaign runs one loop (RunSchedule): pick the next program, ship
+// it to the broker, and fold the feedback back in. One derived number, the
+// look-ahead, decides where programs come from. With none (Run) they are
+// generated inline from one RNG against live state, so a fixed seed
+// replays a campaign bit-identically. With a look-ahead a producer
+// goroutine generates ahead of execution from its own derived RNG against
+// pinned state views — reproducible against itself, trading bit-identity
+// with the serial schedule for throughput (the deployment-shape tradeoff;
+// see DESIGN.md).
 package engine
 
 import (
@@ -85,10 +88,10 @@ type Config struct {
 	// Reset selects the pristine-reset campaign mode: "" or ResetNever
 	// accumulates device state within a boot (historical behavior),
 	// ResetExec restores the pristine checkpoint before every program, and
-	// ResetBatch before every batch (every DefaultBatchSize executions in
-	// unbatched modes). The exec/batch modes lean on the snapshot restore
-	// path, so their steady-state cost is an O(dirty-state) rewind per
-	// reset, not a reboot.
+	// ResetBatch before every executor batch (every DefaultBatchSize
+	// executions when programs execute one at a time). The exec/batch
+	// modes lean on the snapshot restore path, so their steady-state cost
+	// is an O(dirty-state) rewind per reset, not a reboot.
 	Reset string
 	// LineageK, when positive and the executor supports checkpoint
 	// portability (adb.Cloner), enables fork-style corpus fan-out: a
@@ -187,11 +190,17 @@ type Engine struct {
 	// down.
 	modelID string
 
-	// learnBuf, when set by the daemon for a parallel campaign, receives
-	// the engine's relation learns instead of the shared graph; the daemon
-	// applies the buffered ops in deterministic (device, sequence) order.
-	// Serial campaigns leave it nil and learn synchronously.
-	learnBuf *relation.LearnBuffer
+	// bx and cl are the executor's optional batch and checkpoint
+	// extensions, asserted once at construction (nil when unsupported).
+	bx adb.BatchExecutor
+	cl adb.Cloner
+
+	// learnTo receives the engine's relation learns: the graph itself
+	// (serial campaigns learn synchronously — Learn-before-Decay order is
+	// part of the golden schedule), or the daemon's per-engine buffer during
+	// a parallel campaign, which the daemon applies in deterministic
+	// (device, sequence) order.
+	learnTo learner
 
 	// pristine caches the campaign's pristine checkpoint blob so lineage
 	// fan-outs can wind the device back without re-exporting it every
@@ -243,6 +252,9 @@ func New(x adb.Executor, graph *relation.Graph, dedup *crash.Dedup, cfg Config) 
 		rng:    rng,
 		cfg:    cfg,
 	}
+	e.bx, _ = x.(adb.BatchExecutor)
+	e.cl, _ = x.(adb.Cloner)
+	e.learnTo = graph
 	// Best-effort identity snapshot: the in-process broker always answers;
 	// a resilient remote client answers from its handshake cache even when
 	// the link is down.
@@ -254,12 +266,20 @@ func New(x adb.Executor, graph *relation.Graph, dedup *crash.Dedup, cfg Config) 
 	return e
 }
 
+// learner is the relation-learn sink: *relation.Graph or
+// *relation.LearnBuffer.
+type learner interface{ Learn(a, b string) }
+
 // SetLearnBuffer routes subsequent relation learns into buf (parallel
 // campaigns) or, when buf is nil, back to synchronous graph learning. The
 // daemon calls it before starting and after finishing a parallel run; it
-// must not be called while the engine is stepping.
+// must not be called while the engine is running.
 func (e *Engine) SetLearnBuffer(buf *relation.LearnBuffer) {
-	e.learnBuf = buf
+	if buf == nil {
+		e.learnTo = e.graph
+		return
+	}
+	e.learnTo = buf
 }
 
 // Corpus exposes the engine's corpus (persistence, tests).
@@ -287,9 +307,6 @@ func (e *Engine) Graph() *relation.Graph { return e.graph }
 
 // Gen exposes the generator (diagnostics, distribution analysis).
 func (e *Engine) Gen() *gen.Generator { return e.gen }
-
-// Rng exposes the engine's RNG (diagnostics; using it perturbs the run).
-func (e *Engine) Rng() *rand.Rand { return e.rng }
 
 // Execs reports executions so far (the virtual-time clock).
 func (e *Engine) Execs() uint64 { return e.execs.Load() }
@@ -345,8 +362,8 @@ func (e *Engine) exec(p *dsl.Prog) (*adb.ExecResult, *feedback.Signal) {
 	return e.afterExec(p, res, err)
 }
 
-// afterExec is the post-execution half of exec, shared with the batched
-// path: virtual time, error accounting, and crash fallout (reboot, dedup,
+// afterExec is the post-execution half of exec, shared with the campaign
+// loop: virtual time, error accounting, and crash fallout (reboot, dedup,
 // triage). res may be nil on error. Both returned values are pooled; the
 // caller releases them.
 func (e *Engine) afterExec(p *dsl.Prog, res *adb.ExecResult, err error) (*adb.ExecResult, *feedback.Signal) {
@@ -406,54 +423,32 @@ func (e *Engine) SeedCorpus(progs []*dsl.Prog) {
 	}
 }
 
-// next selects the program for one iteration: fresh generation or corpus
-// mutation, drawn from the given RNG and generator. The draw order (Pick,
-// then the short-circuited ratio draw, then the donor Pick) is part of the
-// serial determinism contract — do not reorder.
-func (e *Engine) next(rng *rand.Rand, g *gen.Generator) (p *dsl.Prog, generated bool) {
-	seed := e.corpus.Pick(rng)
-	if seed == nil || rng.Float64() < e.cfg.GenerateRatio {
-		return g.Generate(), true
-	}
-	donor := e.corpus.Pick(rng)
-	p, _ = g.Mutate(seed, donor)
-	return p, false
+// pending is one selected program awaiting execution.
+type pending struct {
+	p         *dsl.Prog
+	generated bool
 }
 
-// nextFrom is next drawing seeds only from the first climit corpus entries
-// — the pipelined producer's pinned corpus view. The draw order matches
-// next exactly.
-func (e *Engine) nextFrom(rng *rand.Rand, g *gen.Generator, climit int) (p *dsl.Prog, generated bool) {
+// nextFrom selects the program for one iteration: fresh generation or
+// corpus mutation, drawn from the given RNG and generator, with seeds drawn
+// only from the first climit corpus entries (climit < 0: the whole corpus).
+// The draw order (Pick, then the short-circuited ratio draw, then the donor
+// Pick) is part of the serial determinism contract — do not reorder.
+func (e *Engine) nextFrom(rng *rand.Rand, g *gen.Generator, climit int) pending {
 	seed := e.corpus.PickN(rng, climit)
 	if seed == nil || rng.Float64() < e.cfg.GenerateRatio {
-		return g.Generate(), true
+		return pending{g.Generate(), true}
 	}
 	donor := e.corpus.PickN(rng, climit)
-	p, _ = g.Mutate(seed, donor)
-	return p, false
-}
-
-// Step runs one fuzzing iteration.
-func (e *Engine) Step() {
-	p, generated := e.next(e.rng, e.gen)
-	e.stepWith(p, generated)
-}
-
-// stepWith executes one already-selected program and feeds the result back:
-// single-pass merge of new signal (one lock acquisition), admission,
-// relation learning, decay, and history sampling. All per-execution state
-// is pooled — the steady state allocates only when the program is actually
-// admitted.
-func (e *Engine) stepWith(p *dsl.Prog, generated bool) {
-	e.preExecReset()
-	res, sig := e.exec(p)
-	e.feed(p, generated, res, sig)
+	p, _ := g.Mutate(seed, donor)
+	return pending{p, false}
 }
 
 // feed folds one execution's outcome back into the engine: counters,
-// signal merge, admission, relation learning, decay, and history sampling.
-// It consumes (releases) res and sig. Shared by the serial, pipelined, and
-// batched paths.
+// single-pass signal merge (one lock acquisition), minimization and
+// admission, relation learning, lineage fan-out, decay, and history
+// sampling. It consumes (releases) res and sig; all per-execution state is
+// pooled, so the steady state allocates only when a program is admitted.
 func (e *Engine) feed(p *dsl.Prog, generated bool, res *adb.ExecResult, sig *feedback.Signal) {
 	if generated {
 		e.generated.Add(1)
@@ -504,175 +499,146 @@ func (e *Engine) feed(p *dsl.Prog, generated bool, res *adb.ExecResult, sig *fee
 }
 
 // Run executes n fuzzing iterations serially: deterministic for a fixed
-// seed.
-func (e *Engine) Run(n int) {
-	for i := 0; i < n; i++ {
-		e.Step()
-	}
-	e.acc.Snapshot(e.execs.Load())
-}
+// seed. It is RunSchedule with no look-ahead.
+func (e *Engine) Run(n int) { e.RunSchedule(n, 0, 1) }
 
 // pipelineSalt decorrelates the producer RNG from the engine RNG so the
 // two streams never repeat each other's draws.
 const pipelineSalt = 0x9e3779b97f4a7c15
 
-// DefaultPipelineDepth is the generation lookahead used when RunPipelined
-// is called with depth <= 0.
-const DefaultPipelineDepth = 4
-
-// RunPipelined executes n iterations with generation pipelined ahead of
-// execution: a producer goroutine keeps up to depth programs generated or
-// mutated in advance while this goroutine executes, analyzes feedback, and
-// admits. Selection draws come from a producer-private RNG derived from
-// the engine seed, and the producer generates item i against an explicit
-// engine-state view (relation-graph snapshot + corpus length) captured
-// after item i-depth was fully fed back — never against live shared state
-// — so a pipelined campaign is reproducible against itself regardless of
-// goroutine scheduling, but not bit-identical to a serial one: mutation
-// speculates on a view that admission has advanced depth items past. Use
-// Run when replay determinism matters.
-func (e *Engine) RunPipelined(n, depth int) {
-	e.runPipelined(n, depth, 1)
-}
-
-// DefaultBatchSize is the batch used when RunPipelinedBatched is called
-// with batch <= 0.
+// DefaultBatchSize is the ResetBatch cadence, in executions, when programs
+// execute one at a time.
 const DefaultBatchSize = 16
 
-// RunPipelinedBatched is RunPipelined with batched execution: pipelined
-// programs are serialized once, packed into batches of up to batch texts,
-// and shipped through the executor's BatchExecutor extension in summary
-// mode — over a remote link that means one windowed wire frame per batch
-// and an interesting-only coverage uplink instead of one full round trip
-// per execution. Feedback, admission, and crash fallout are processed
-// per program in batch order, so the analysis side is identical to the
-// pipelined mode; executors without batch support fall back to it
-// transparently. Like RunPipelined, this mode trades bit-replay for
-// throughput — and a mid-batch crash reboots the device while the rest of
-// the batch still runs, so crash timing is additionally coarsened to batch
-// granularity (see DESIGN.md).
-func (e *Engine) RunPipelinedBatched(n, depth, batch int) {
-	if batch <= 0 {
-		batch = DefaultBatchSize
+// RunSchedule executes n iterations of the campaign loop (paper §IV-A):
+// select a program, apply the reset mode, execute, and fold the result
+// back (signal merge, minimize and admit, learn, lineage fan-out, decay,
+// crash triage).
+//
+// depth and batch shape one derived number, the look-ahead
+// L = depth + batch − 1: how many programs may be selected before the
+// oldest of them has been fed back. A batch is selected in full before any
+// of it executes, so batch > 1 counts depth as at least 1.
+//
+//   - L = 0 is the serial schedule: each program is generated inline from
+//     the engine RNG against live state, so a fixed seed replays the
+//     campaign bit-identically.
+//   - L > 0 moves selection to a producer goroutine with a private RNG
+//     derived from the seed. It selects item i against the engine-state
+//     view (relation-graph snapshot + corpus length) captured after item
+//     i−L was fed back, never against live state, so the campaign is
+//     reproducible against itself regardless of goroutine scheduling but
+//     not bit-identical to the serial one: mutation speculates on a view
+//     that admission has advanced L items past.
+//
+// Each executor call carries batch programs: a batch of 1 goes through
+// ExecProg, a larger one through the BatchExecutor extension in summary
+// mode — over a remote link one windowed wire frame per batch and an
+// interesting-only coverage uplink. Executors without the extension run
+// one program per call under the same look-ahead. Results are fed back
+// per program in order; a mid-batch crash reboots the device while the
+// rest of the batch still runs, so batched crash timing is coarsened to
+// batch granularity (see DESIGN.md).
+func (e *Engine) RunSchedule(n, depth, batch int) {
+	batch = max(batch, 1)
+	depth = max(depth, 0)
+	if batch > 1 {
+		depth = max(depth, 1)
 	}
-	e.runPipelined(n, depth, batch)
+	lookahead := depth + batch - 1
+	if e.bx == nil {
+		batch = 1
+	}
+	next := func() pending { return e.nextFrom(e.rng, e.gen, -1) }
+	fed := func() {}
+	if lookahead > 0 {
+		next, fed = e.produce(n, lookahead)
+	}
+	items := make([]pending, 0, batch)
+	for done := 0; done < n; done += len(items) {
+		items = items[:0]
+		for len(items) < batch && done+len(items) < n {
+			items = append(items, next())
+		}
+		e.execBatch(items, batch, fed)
+	}
+	e.acc.Snapshot(e.execs.Load())
 }
 
-// pending is one pipelined work item.
-type pending struct {
-	p         *dsl.Prog
-	generated bool
-}
-
-// pipeView is the engine-state view a pipelined producer generates against:
-// an immutable relation-graph snapshot and the corpus length at the capture
-// point (the corpus is append-only, so a length pins a prefix view). Views
-// are captured by the consumer at deterministic points — after feeding item
-// j it hands the producer the view for item j+depth — which makes pipelined
-// generation a pure function of (seed, iteration index) instead of a race
-// against the consumer's admissions and learns.
+// pipeView is the engine-state view the look-ahead producer generates
+// against: an immutable relation-graph snapshot and the corpus length at the
+// capture point (the corpus is append-only, so a length pins a prefix view).
+// Views are captured by the loop at deterministic points — after feeding
+// item j it hands the producer the view for item j+L — which makes
+// look-ahead generation a pure function of (seed, iteration index) instead
+// of a race against the loop's admissions and learns.
 type pipeView struct {
 	snap      *relation.Snapshot
 	corpusLen int
 }
 
-func (e *Engine) runPipelined(n, depth, batch int) {
-	if n <= 0 {
-		return
-	}
-	if depth <= 0 {
-		depth = DefaultPipelineDepth
-	}
+// produce starts the look-ahead producer for an n-iteration run and returns
+// the loop's program source and the hook the loop calls after each program
+// is fully fed back, which releases the view for the item lookahead ahead.
+// At most lookahead views are ever outstanding (prefilled, plus one per fed
+// item, minus one per produced item), so the hook never blocks.
+func (e *Engine) produce(n, lookahead int) (next func() pending, fed func()) {
 	prng := rand.New(rand.NewSource(int64(uint64(e.cfg.Seed) ^ pipelineSalt)))
 	pgen := gen.New(e.target, e.graph, prng, e.cfg.Gen)
-	ch := make(chan pending, depth)
-	// The batched consumer feeds nothing until a whole batch is collected,
-	// so the producer must be able to run a full batch ahead of the last
-	// ack on top of the pipeline depth or the two would deadlock.
-	lookahead := depth
-	if batch > 1 {
-		lookahead += batch - 1
-	}
+	ch := make(chan pending, lookahead)
 	views := make(chan pipeView, lookahead)
 	v0 := pipeView{snap: e.graph.Snapshot(), corpusLen: e.corpus.Len()}
-	prefill := lookahead
-	if n < prefill {
-		prefill = n
-	}
-	for i := 0; i < prefill; i++ {
+	for i := 0; i < min(lookahead, n); i++ {
 		views <- v0
 	}
-	// ack runs after each item is fully fed back; it releases the view for
-	// the item lookahead ahead. Capacity accounting: at most lookahead
-	// views are ever outstanding (prefilled + one per fed item, minus one
-	// consumed per produced item), so these sends never block.
-	fed := 0
-	ack := func() {
-		fed++
-		if fed+lookahead <= n {
-			views <- pipeView{snap: e.graph.Snapshot(), corpusLen: e.corpus.Len()}
-		}
-	}
 	go func() {
-		defer close(ch)
 		for i := 0; i < n; i++ {
 			v := <-views
 			pgen.SetView(v.snap)
-			p, generated := e.nextFrom(prng, pgen, v.corpusLen)
-			ch <- pending{p, generated}
+			ch <- e.nextFrom(prng, pgen, v.corpusLen)
 		}
 	}()
-	bx, _ := e.x.(adb.BatchExecutor)
-	if batch > 1 && bx != nil {
-		e.consumeBatched(ch, bx, batch, ack)
-	} else {
-		for item := range ch {
-			e.stepWith(item.p, item.generated)
-			ack()
+	done := 0
+	return func() pending { return <-ch }, func() {
+		done++
+		if done+lookahead <= n {
+			views <- pipeView{snap: e.graph.Snapshot(), corpusLen: e.corpus.Len()}
 		}
 	}
-	e.acc.Snapshot(e.execs.Load())
 }
 
-// consumeBatched drains the pipeline in batches: each program is
-// serialized exactly once (retries inside a resilient executor reuse the
-// same text), the batch executes remotely in summary mode, and every
-// result is fed back in order, acking the producer's view handoff per
-// program. Programs the batch failed to cover (a transport error after
-// retries, a broker rejection) are accounted as ExecErrors, exactly like
-// a failed singleton execution.
-func (e *Engine) consumeBatched(ch chan pending, bx adb.BatchExecutor, batch int, ack func()) {
-	items := make([]pending, 0, batch)
-	texts := make([]string, 0, batch)
-	flush := func() {
-		if len(items) == 0 {
-			return
-		}
-		e.preBatchReset()
-		results, _ := bx.ExecBatch(adb.ExecBatchRequest{Progs: texts, Summary: true})
-		for i := range items {
-			var res *adb.ExecResult
-			var err error
-			if i < len(results) && results[i] != nil {
-				res = results[i]
-			} else {
-				err = errBatchShortfall
-			}
-			res, sig := e.afterExec(items[i].p, res, err)
-			e.feed(items[i].p, items[i].generated, res, sig)
-			ack()
-		}
-		items = items[:0]
-		texts = texts[:0]
+// execBatch is the loop's one executor call: it applies the reset mode,
+// ships the items — through ExecProg when batch is 1, otherwise through
+// ExecBatch with each program serialized once (retries inside a resilient
+// executor reuse the same text) — and folds every result back in order,
+// calling fed after each. Programs a batch failed to cover (a transport
+// error after retries, a broker rejection) count as ExecErrors, exactly
+// like a failed single execution.
+func (e *Engine) execBatch(items []pending, batch int, fed func()) {
+	e.resetBefore(batch)
+	if batch == 1 {
+		it := items[0]
+		res, err := e.x.ExecProg(it.p)
+		res, sig := e.afterExec(it.p, res, err)
+		e.feed(it.p, it.generated, res, sig)
+		fed()
+		return
 	}
-	for item := range ch {
-		items = append(items, item)
-		texts = append(texts, item.p.String())
-		if len(items) == batch {
-			flush()
-		}
+	texts := make([]string, len(items))
+	for i, it := range items {
+		texts[i] = it.p.String()
 	}
-	flush()
+	results, _ := e.bx.ExecBatch(adb.ExecBatchRequest{Progs: texts, Summary: true})
+	for i, it := range items {
+		var res *adb.ExecResult
+		err := errBatchShortfall
+		if i < len(results) && results[i] != nil {
+			res, err = results[i], nil
+		}
+		res, sig := e.afterExec(it.p, res, err)
+		e.feed(it.p, it.generated, res, sig)
+		fed()
+	}
 }
 
 // errBatchShortfall marks a batched program whose result never arrived.
@@ -790,17 +756,11 @@ func (e *Engine) crashesWith(p *dsl.Prog, title string) bool {
 }
 
 // learn records the adjacent-pair dependencies of a minimized program into
-// the relation graph (paper Eq. (1)) — directly in serial mode, or into
-// the daemon-applied buffer during parallel campaigns so the shared graph
-// is never locked on the engine's hot path.
+// the relation graph (paper Eq. (1)) through the engine's learn sink —
+// the graph itself in serial campaigns, the daemon-applied buffer in
+// parallel ones so the shared graph is never locked on the hot path.
 func (e *Engine) learn(p *dsl.Prog) {
-	if buf := e.learnBuf; buf != nil {
-		for i := 1; i < p.Len(); i++ {
-			buf.Learn(p.Calls[i-1].Desc.Name, p.Calls[i].Desc.Name)
-		}
-		return
-	}
 	for i := 1; i < p.Len(); i++ {
-		e.graph.Learn(p.Calls[i-1].Desc.Name, p.Calls[i].Desc.Name)
+		e.learnTo.Learn(p.Calls[i-1].Desc.Name, p.Calls[i].Desc.Name)
 	}
 }

@@ -160,12 +160,13 @@ func TestEngineHonorsSkipMinimize(t *testing.T) {
 	}
 }
 
-// TestEnginePipelinedRun: the batched mode must complete the full iteration
-// budget, make coverage progress, and keep its own books straight — without
-// the serial determinism guarantee (generation runs ahead on its own RNG).
+// TestEnginePipelinedRun: the look-ahead schedule must complete the full
+// iteration budget, make coverage progress, and keep its own books straight
+// — without the serial determinism guarantee (generation runs ahead on its
+// own RNG).
 func TestEnginePipelinedRun(t *testing.T) {
 	e := newEngine(t, "A1", engine.Config{Seed: 31})
-	e.RunPipelined(300, 4)
+	e.RunSchedule(300, 4, 1)
 	st := e.Stats()
 	if st.Execs < 300 {
 		t.Fatalf("execs = %d, want >= 300", st.Execs)
@@ -216,13 +217,12 @@ ioctl$TCPC_SET_MODE(fd=r0, req=0xa102, mode=0x3)
 	}
 }
 
-// TestEngineBatchedRun: the batched pipelined mode ships programs to the
-// executor's batch extension (the in-process broker here) and must complete
-// the full budget with the same bookkeeping guarantees as per-program
-// pipelining.
+// TestEngineBatchedRun: a batched schedule ships programs to the executor's
+// batch extension (the in-process broker here) and must complete the full
+// budget with the same bookkeeping guarantees as per-program execution.
 func TestEngineBatchedRun(t *testing.T) {
 	e := newEngine(t, "A1", engine.Config{Seed: 31})
-	e.RunPipelinedBatched(300, 4, 8)
+	e.RunSchedule(300, 4, 8)
 	st := e.Stats()
 	if st.Execs < 300 {
 		t.Fatalf("execs = %d, want >= 300", st.Execs)
@@ -241,9 +241,9 @@ func TestEngineBatchedRun(t *testing.T) {
 // programs through the same accumulator).
 func TestEngineBatchedMatchesPipelinedProgress(t *testing.T) {
 	a := newEngine(t, "A2", engine.Config{Seed: 9})
-	a.RunPipelined(400, 4)
+	a.RunSchedule(400, 4, 1)
 	b := newEngine(t, "A2", engine.Config{Seed: 9})
-	b.RunPipelinedBatched(400, 4, 16)
+	b.RunSchedule(400, 4, 16)
 	ca, cb := a.Stats().KernelCov, b.Stats().KernelCov
 	if cb == 0 {
 		t.Fatal("batched run found no coverage")
@@ -273,45 +273,33 @@ func corpusHash(e *engine.Engine) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestEnginePipelinedReproducesItself: pipelined mode trades bit-identity
-// with the serial schedule for throughput, but it must reproduce *itself*
-// regardless of goroutine scheduling — the producer generates against
-// explicit state views handed off at deterministic points, never against
-// live shared structures. Two same-seed pipelined campaigns must yield
-// content-identical corpora; this is the regression test for the snapshot
-// rewrite briefly making producer reads race with consumer learns.
+// TestEnginePipelinedReproducesItself: a look-ahead schedule trades
+// bit-identity with the serial schedule for throughput, but it must
+// reproduce *itself* regardless of goroutine scheduling — the producer
+// generates against explicit state views handed off at deterministic
+// points, never against live shared structures. Two same-seed campaigns
+// must yield content-identical corpora; this is the regression test for the
+// snapshot rewrite briefly making producer reads race with consumer learns.
+// The batched cases ack the view handoff per program inside each batch, so
+// they carry the same guarantee; (depth 0, batch 16) is the batch-only
+// schedule, whose look-ahead is the batch itself.
 func TestEnginePipelinedReproducesItself(t *testing.T) {
 	for _, tc := range []struct {
-		model string
-		depth int
-	}{{"A1", 4}, {"B", 7}} {
+		model        string
+		depth, batch int
+	}{{"A1", 4, 1}, {"B", 7, 1}, {"A1", 4, 16}, {"A1", 0, 16}} {
 		a := newEngine(t, tc.model, engine.Config{Seed: 99})
 		b := newEngine(t, tc.model, engine.Config{Seed: 99})
-		a.RunPipelined(400, tc.depth)
-		b.RunPipelined(400, tc.depth)
+		a.RunSchedule(400, tc.depth, tc.batch)
+		b.RunSchedule(400, tc.depth, tc.batch)
 		if ha, hb := corpusHash(a), corpusHash(b); ha != hb {
-			t.Fatalf("model %s depth %d: same-seed pipelined replay diverged:\n  run1 %s (%d entries)\n  run2 %s (%d entries)",
-				tc.model, tc.depth, ha, a.Corpus().Len(), hb, b.Corpus().Len())
+			t.Fatalf("model %s depth %d batch %d: same-seed replay diverged:\n  run1 %s (%d entries)\n  run2 %s (%d entries)",
+				tc.model, tc.depth, tc.batch, ha, a.Corpus().Len(), hb, b.Corpus().Len())
 		}
 		if a.Accumulator().Total() != b.Accumulator().Total() {
-			t.Fatalf("model %s: pipelined accumulated signal diverged: %d vs %d",
-				tc.model, a.Accumulator().Total(), b.Accumulator().Total())
+			t.Fatalf("model %s depth %d batch %d: accumulated signal diverged: %d vs %d",
+				tc.model, tc.depth, tc.batch, a.Accumulator().Total(), b.Accumulator().Total())
 		}
-	}
-}
-
-// TestEngineBatchedReproducesItself: the batched consumer acks the view
-// handoff per program inside each flush, so batched campaigns carry the
-// same self-reproducibility guarantee (with lookahead widened by the batch
-// size so collection can't outrun the acks).
-func TestEngineBatchedReproducesItself(t *testing.T) {
-	a := newEngine(t, "A1", engine.Config{Seed: 99})
-	b := newEngine(t, "A1", engine.Config{Seed: 99})
-	a.RunPipelinedBatched(400, 4, 16)
-	b.RunPipelinedBatched(400, 4, 16)
-	if ha, hb := corpusHash(a), corpusHash(b); ha != hb {
-		t.Fatalf("same-seed batched replay diverged:\n  run1 %s (%d entries)\n  run2 %s (%d entries)",
-			ha, a.Corpus().Len(), hb, b.Corpus().Len())
 	}
 }
 

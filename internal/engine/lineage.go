@@ -17,7 +17,6 @@ package engine
 import (
 	"math/rand"
 
-	"droidfuzz/internal/adb"
 	"droidfuzz/internal/dsl"
 	"droidfuzz/internal/gen"
 )
@@ -31,8 +30,8 @@ const (
 	// ResetExec rewinds the device to its pristine checkpoint before
 	// every program, so each execution observes boot-fresh driver state.
 	ResetExec = "exec"
-	// ResetBatch rewinds before every batch — every flushed batch in
-	// batched mode, every DefaultBatchSize executions otherwise.
+	// ResetBatch rewinds before every executor batch — every
+	// DefaultBatchSize executions when programs execute one at a time.
 	ResetBatch = "batch"
 )
 
@@ -47,32 +46,26 @@ func ValidResetMode(s string) bool {
 	return false
 }
 
-// preExecReset applies the pristine-reset campaign mode before one
-// unbatched execution: exec mode rewinds always, batch mode every
-// DefaultBatchSize executions. ResetNever leaves the historical
+// resetBefore applies the pristine-reset campaign mode before one executor
+// call carrying batch programs. ResetExec rewinds before every call; a
+// device-side batch cannot be split per program, so with batch > 1 it
+// degrades to batch granularity — the batch still starts pristine.
+// ResetBatch rewinds before every call with batch > 1 and every
+// DefaultBatchSize executions otherwise. ResetNever leaves the historical
 // accumulate-within-a-boot behavior untouched.
-func (e *Engine) preExecReset() {
+func (e *Engine) resetBefore(batch int) {
 	switch e.cfg.Reset {
 	case ResetExec:
 		e.reset()
 	case ResetBatch:
-		if e.execs.Load()%DefaultBatchSize == 0 {
+		if batch > 1 || e.execs.Load()%DefaultBatchSize == 0 {
 			e.reset()
 		}
 	}
 }
 
-// preBatchReset applies the reset mode at a batch boundary. A device-side
-// batch cannot be split per program, so exec mode degrades to batch
-// granularity here — the batch still starts pristine.
-func (e *Engine) preBatchReset() {
-	if e.cfg.Reset == ResetExec || e.cfg.Reset == ResetBatch {
-		e.reset()
-	}
-}
-
 // lineageSalt decorrelates lineage RNG streams from the engine RNG and
-// the pipelined producer RNG (which uses pipelineSalt).
+// the look-ahead producer RNG (which uses pipelineSalt).
 const lineageSalt = 0x517cc1b727220a95
 
 // lineage is the fork-style fan-out scheduler: called when prefix was
@@ -82,14 +75,13 @@ const lineageSalt = 0x517cc1b727220a95
 // programs each against that state — every mutant inherits the prefix's
 // device state without re-executing the prefix.
 //
-// Each lineage pins the fan-out point's engine-state view (the pipelined
+// Each lineage pins the fan-out point's engine-state view (the look-ahead
 // producer's pipeView discipline) and derives its RNG purely from
 // (campaign seed, prefix identity, lineage index), so a lineage is
 // self-reproducible and decorrelated from its siblings regardless of
 // what the campaign executed before the fan-out point.
 func (e *Engine) lineage(prefix *dsl.Prog) {
-	cl, ok := e.x.(adb.Cloner)
-	if !ok || e.inLineage || prefix.Len() == 0 {
+	if e.cl == nil || e.inLineage || prefix.Len() == 0 {
 		return
 	}
 	e.inLineage = true
@@ -100,7 +92,7 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 	// post-prefix state.
 	e.reset()
 	if e.pristine == nil {
-		blob, err := cl.ExportCheckpoint()
+		blob, err := e.cl.ExportCheckpoint()
 		if err != nil {
 			e.execErrors.Add(1)
 			return
@@ -121,7 +113,7 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 		e.reset()
 		return
 	}
-	post, err := cl.ExportCheckpoint()
+	post, err := e.cl.ExportCheckpoint()
 	if err != nil {
 		e.execErrors.Add(1)
 		e.reset()
@@ -134,7 +126,7 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 		// Importing the checkpoint also makes it the state crash-fallout
 		// resets rewind to, so a mid-lineage crash recovers to the
 		// post-prefix fork point, not to boot.
-		if err := cl.ImportCheckpoint(post); err != nil {
+		if err := e.cl.ImportCheckpoint(post); err != nil {
 			e.execErrors.Add(1)
 			break
 		}
@@ -152,7 +144,7 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 	// import reinstates it as the state later resets rewind to. If even
 	// that fails (remote link down), fall back to a reboot so the
 	// campaign never continues from a half-lineage state.
-	if err := cl.ImportCheckpoint(e.pristine); err != nil {
+	if err := e.cl.ImportCheckpoint(e.pristine); err != nil {
 		e.execErrors.Add(1)
 		if e.x.Reboot() == nil {
 			e.reboots.Add(1)
