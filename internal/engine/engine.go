@@ -164,12 +164,12 @@ type Stats struct {
 	ParamWrites  uint64
 	LineageExecs uint64
 	CorpusSize   int
-	Crashes     int
-	UniqueBugs  int
-	Reboots     int
-	Restores    int
-	KernelCov   int
-	TotalSignal int
+	Crashes      int
+	UniqueBugs   int
+	Reboots      int
+	Restores     int
+	KernelCov    int
+	TotalSignal  int
 }
 
 // Engine drives fuzzing for one device.
@@ -324,12 +324,12 @@ func (e *Engine) Stats() Stats {
 		ParamWrites:  e.paramWrites.Load(),
 		LineageExecs: e.lineageExecs.Load(),
 		CorpusSize:   e.corpus.Len(),
-		Crashes:     int(e.crashes.Load()),
-		UniqueBugs:  e.dedup.Len(),
-		Reboots:     int(e.reboots.Load()),
-		Restores:    int(e.restores.Load()),
-		KernelCov:   e.acc.KernelTotal(),
-		TotalSignal: e.acc.Total(),
+		Crashes:      int(e.crashes.Load()),
+		UniqueBugs:   e.dedup.Len(),
+		Reboots:      int(e.reboots.Load()),
+		Restores:     int(e.restores.Load()),
+		KernelCov:    e.acc.KernelTotal(),
+		TotalSignal:  e.acc.Total(),
 	}
 }
 

@@ -273,6 +273,24 @@ func corpusHash(e *engine.Engine) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// assertSelfReplay runs two same-seed campaigns on one schedule and fails
+// unless their corpora and accumulated signal are identical.
+func assertSelfReplay(t *testing.T, model string, depth, batch int) {
+	t.Helper()
+	a := newEngine(t, model, engine.Config{Seed: 99})
+	b := newEngine(t, model, engine.Config{Seed: 99})
+	a.RunSchedule(400, depth, batch)
+	b.RunSchedule(400, depth, batch)
+	if ha, hb := corpusHash(a), corpusHash(b); ha != hb {
+		t.Fatalf("model %s depth %d batch %d: same-seed replay diverged:\n  run1 %s (%d entries)\n  run2 %s (%d entries)",
+			model, depth, batch, ha, a.Corpus().Len(), hb, b.Corpus().Len())
+	}
+	if a.Accumulator().Total() != b.Accumulator().Total() {
+		t.Fatalf("model %s depth %d batch %d: accumulated signal diverged: %d vs %d",
+			model, depth, batch, a.Accumulator().Total(), b.Accumulator().Total())
+	}
+}
+
 // TestEnginePipelinedReproducesItself: a look-ahead schedule trades
 // bit-identity with the serial schedule for throughput, but it must
 // reproduce *itself* regardless of goroutine scheduling — the producer
@@ -280,27 +298,18 @@ func corpusHash(e *engine.Engine) string {
 // points, never against live shared structures. Two same-seed campaigns
 // must yield content-identical corpora; this is the regression test for the
 // snapshot rewrite briefly making producer reads race with consumer learns.
-// The batched cases ack the view handoff per program inside each batch, so
-// they carry the same guarantee; (depth 0, batch 16) is the batch-only
-// schedule, whose look-ahead is the batch itself.
 func TestEnginePipelinedReproducesItself(t *testing.T) {
-	for _, tc := range []struct {
-		model        string
-		depth, batch int
-	}{{"A1", 4, 1}, {"B", 7, 1}, {"A1", 4, 16}, {"A1", 0, 16}} {
-		a := newEngine(t, tc.model, engine.Config{Seed: 99})
-		b := newEngine(t, tc.model, engine.Config{Seed: 99})
-		a.RunSchedule(400, tc.depth, tc.batch)
-		b.RunSchedule(400, tc.depth, tc.batch)
-		if ha, hb := corpusHash(a), corpusHash(b); ha != hb {
-			t.Fatalf("model %s depth %d batch %d: same-seed replay diverged:\n  run1 %s (%d entries)\n  run2 %s (%d entries)",
-				tc.model, tc.depth, tc.batch, ha, a.Corpus().Len(), hb, b.Corpus().Len())
-		}
-		if a.Accumulator().Total() != b.Accumulator().Total() {
-			t.Fatalf("model %s depth %d batch %d: accumulated signal diverged: %d vs %d",
-				tc.model, tc.depth, tc.batch, a.Accumulator().Total(), b.Accumulator().Total())
-		}
-	}
+	assertSelfReplay(t, "A1", 4, 1)
+	assertSelfReplay(t, "B", 7, 1)
+}
+
+// TestEngineBatchedReproducesItself: the batched schedule acks the view
+// handoff per program inside each batch, so it carries the same
+// self-reproducibility guarantee; (depth 0, batch 16) is the batch-only
+// schedule, whose look-ahead is the batch itself.
+func TestEngineBatchedReproducesItself(t *testing.T) {
+	assertSelfReplay(t, "A1", 4, 16)
+	assertSelfReplay(t, "A1", 0, 16)
 }
 
 // TestEngineSeedReplayIdenticalCorpus replays a fixed seed twice through
