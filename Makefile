@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race sanitize bench smoke smoke-params smoke-clone smoke-coord check clean
+.PHONY: all build vet test race sanitize bench smoke check clean
 
 all: check
 
@@ -38,30 +38,11 @@ bench:
 	$(GO) -C cmd/dfbench vet .
 	$(GO) -C cmd/dfbench test .
 
-# smoke runs a short droidfleet campaign against droidbrokerd over TCP
-# loopback and asserts clean execution and shutdown.
+# smoke runs every loopback smoke scenario (remote, params, clone, coord),
+# each in the plain and the sanitize build; `scripts/smoke.sh SCENARIO`
+# runs one.
 smoke:
-	./scripts/smoke_remote.sh
-
-# smoke-params runs a short param-enabled campaign in both the plain and
-# the sanitize build and asserts the fleet actually exercised the
-# runtime-parameter dimension (param_writes > 0 in the status report).
-smoke-params:
-	./scripts/smoke_params.sh
-
-# smoke-clone runs a short lineage-enabled campaign (checkpoint fan-out +
-# batch pristine resets) in both the plain and the sanitize build and
-# asserts the fleet actually forked lineages (lineage_execs > 0 in the
-# status report).
-smoke-clone:
-	./scripts/smoke_clone.sh
-
-# smoke-coord stands up a coordinator with two droidfleet hosts over
-# loopback TCP in both the plain and the sanitize build and asserts the
-# federated campaign converged (equal nonzero corpus fingerprints, all
-# shards done, federation bytes in both directions).
-smoke-coord:
-	./scripts/smoke_coord.sh
+	./scripts/smoke.sh
 
 check: build vet race sanitize
 

@@ -223,15 +223,7 @@ func mustModel(b *testing.B, id string) device.Model {
 }
 
 func newEngineWithDecay(dev *droidfuzz.Device, factor float64) (*engine.Engine, error) {
-	target, err := dsl.NewTarget(dev.SyscallDescs()...)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := probe.Run(dev, probe.Options{})
-	if err != nil {
-		return nil, err
-	}
-	target, err = target.Extend(pr.Interfaces...)
+	target, _, err := probe.Target(dev, probe.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -246,15 +238,7 @@ func BenchmarkAblationSeedCorpus(b *testing.B) {
 	run := func(b *testing.B, seeded bool) {
 		for i := 0; i < b.N; i++ {
 			dev := device.New(mustModel(b, "A1"))
-			target, err := dsl.NewTarget(dev.SyscallDescs()...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pr, err := probe.Run(dev, probe.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			target, err = target.Extend(pr.Interfaces...)
+			target, pr, err := probe.Target(dev, probe.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

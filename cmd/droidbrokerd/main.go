@@ -27,7 +27,6 @@ import (
 
 	"droidfuzz/internal/adb"
 	"droidfuzz/internal/device"
-	"droidfuzz/internal/dsl"
 	"droidfuzz/internal/feedback"
 	"droidfuzz/internal/probe"
 )
@@ -125,15 +124,7 @@ func buildServer(modelID string) (*adb.Server, device.Model, int, error) {
 		return nil, device.Model{}, 0, err
 	}
 	dev := device.New(model)
-	target, err := dsl.NewTarget(dev.SyscallDescs()...)
-	if err != nil {
-		return nil, model, 0, err
-	}
-	pr, err := probe.Run(dev, probe.Options{})
-	if err != nil {
-		return nil, model, 0, err
-	}
-	target, err = target.Extend(pr.Interfaces...)
+	target, pr, err := probe.Target(dev, probe.Options{})
 	if err != nil {
 		return nil, model, 0, err
 	}

@@ -15,8 +15,12 @@
 // CPU, capped at the fleet size). -pipeline sets each engine's generation
 // look-ahead depth, and -batch makes engines execute programs in batches of
 // that size through the executors' batch extension; with both at 0 each
-// device runs the serial schedule, deterministic per seed. A batch is
-// generated ahead in full, so -batch N alone implies a look-ahead of N.
+// engine runs the serial schedule. A batch is generated ahead in full, so
+// -batch N alone implies a look-ahead of N. Engines of a multi-device
+// fleet run concurrently and apply shared relation learns on a wall-clock
+// ticker, so such a fleet is not byte-reproducible; a one-device fleet has
+// nothing to run in parallel and runs in place, so `droidfleet -devices A1`
+// replays a campaign bit-identically per seed.
 // With -remote, batching is the wire-protocol-v2 fast path — batched
 // frames, delta-coded traces, and the interesting-only summary uplink —
 // and -window bounds how many frames each connection keeps in flight. The campaign runs in -rounds slices,
@@ -27,7 +31,9 @@
 // writable sysfs knobs, the targets gain their write descriptions, and the
 // relation graph learns knob↔ioctl couplings; the status report then
 // carries the fleet-wide param-write count. Off by default — campaigns
-// without it are bit-identical to pre-params builds.
+// without it are bit-identical to pre-params builds. Knob discovery runs
+// at in-process bring-up, so -params applies to in-process and -coord
+// fleets and is rejected with -remote (droidbrokerd probes without it).
 //
 // -reset selects the pristine-reset campaign mode: "never" (default)
 // resets only on crash fallout, "exec" snapshot-restores before every
@@ -75,17 +81,17 @@ import (
 
 func main() {
 	var (
-		devices   = flag.String("devices", "A1,B,D", "comma-separated device model IDs (ignored with -remote/-coord)")
-		remote    = flag.String("remote", "", "comma-separated droidbrokerd addresses to drive instead of in-process devices")
-		coordAddr = flag.String("coord", "", "droidcoordd address: join a multi-host fleet as one coordinated host")
-		hostName  = flag.String("host-name", "", "advisory host label sent to the coordinator (default: os hostname)")
-		iters     = flag.Int("iters", 20000, "fuzzing iterations per device")
-		seed      = flag.Int64("seed", 1, "base RNG seed (device i uses seed+i)")
-		workers   = flag.Int("workers", 0, "max concurrent device engines (0 = NumCPU)")
-		pipeline  = flag.Int("pipeline", 0, "per-engine generation look-ahead depth (0 = serial)")
-		batch     = flag.Int("batch", 0, "programs per execution batch (0 = per-program execution; N > 1 generates N programs ahead)")
-		window    = flag.Int("window", 0, "in-flight requests per remote connection (0 = transport default)")
-		rounds    = flag.Int("rounds", 4, "status-report slices to split the campaign into")
+		devices    = flag.String("devices", "A1,B,D", "comma-separated device model IDs (ignored with -remote/-coord)")
+		remote     = flag.String("remote", "", "comma-separated droidbrokerd addresses to drive instead of in-process devices")
+		coordAddr  = flag.String("coord", "", "droidcoordd address: join a multi-host fleet as one coordinated host")
+		hostName   = flag.String("host-name", "", "advisory host label sent to the coordinator (default: os hostname)")
+		iters      = flag.Int("iters", 20000, "fuzzing iterations per device")
+		seed       = flag.Int64("seed", 1, "base RNG seed (device i uses seed+i)")
+		workers    = flag.Int("workers", 0, "max concurrent device engines (0 = NumCPU)")
+		pipeline   = flag.Int("pipeline", 0, "per-engine generation look-ahead depth (0 = serial)")
+		batch      = flag.Int("batch", 0, "programs per execution batch (0 = per-program execution; N > 1 generates N programs ahead)")
+		window     = flag.Int("window", 0, "in-flight requests per remote connection (0 = transport default)")
+		rounds     = flag.Int("rounds", 4, "status-report slices to split the campaign into")
 		params     = flag.Bool("params", false, "enable the runtime-parameter dimension (sysfs knob writes in the mutation surface)")
 		reset      = flag.String("reset", "never", "pristine-reset campaign mode: never, exec, or batch")
 		lineage    = flag.Int("lineage", 0, "lineage fan-out width K: clone the post-prefix state K ways per new-coverage admission (0 = off)")
@@ -115,16 +121,16 @@ func main() {
 }
 
 type fleetConfig struct {
-	devices   string
-	remote    string
-	coord     string
-	hostName  string
-	iters     int
-	seed      int64
-	workers   int
-	pipeline  int
-	batch     int
-	window    int
+	devices    string
+	remote     string
+	coord      string
+	hostName   string
+	iters      int
+	seed       int64
+	workers    int
+	pipeline   int
+	batch      int
+	window     int
 	rounds     int
 	params     bool
 	reset      string
@@ -135,7 +141,8 @@ type fleetConfig struct {
 }
 
 // validate rejects flag values that would silently misbehave: negative
-// budgets and worker counts, and device IDs outside the Table I models.
+// budgets and worker counts, -params over remote brokers, and device IDs
+// outside the Table I models.
 func (c *fleetConfig) validate() error {
 	switch {
 	case c.iters < 0:
@@ -153,6 +160,9 @@ func (c *fleetConfig) validate() error {
 	}
 	if c.remote != "" && c.coord != "" {
 		return fmt.Errorf("-remote and -coord are mutually exclusive")
+	}
+	if c.remote != "" && c.params {
+		return fmt.Errorf("-params needs in-process devices or -coord: remote brokers probe without knob discovery")
 	}
 	if c.remote != "" || c.coord != "" {
 		return nil // device IDs come from the remote handshakes / coordinator
@@ -185,12 +195,30 @@ func run(cfg fleetConfig) error {
 	if cfg.coord != "" {
 		return runCoordinated(cfg)
 	}
+	d, remotes, err := newFleet(cfg)
+	if err != nil {
+		return err
+	}
+	mode := "in-process"
+	if cfg.remote != "" {
+		mode = "remote"
+	}
+	fmt.Printf("fleet: %s (%s, workers=%d pipeline=%d batch=%d window=%d)\n",
+		strings.Join(d.Devices(), ", "), mode, cfg.workers, cfg.pipeline, cfg.batch, cfg.window)
+	campaign(d, cfg.iters, cfg.rounds, func() { printStats(d) })
+	printWireStats(remotes)
+	return report(d, cfg)
+}
+
+// newFleet attaches the configured devices — in-process models or remote
+// brokers — to a fresh daemon tuned by the execution flags.
+func newFleet(cfg fleetConfig) (*daemon.Daemon, map[string]*adb.Resilient, error) {
 	d := daemon.New()
 	var remotes map[string]*adb.Resilient
 	if cfg.remote != "" {
 		var err error
 		if remotes, err = attachRemotes(d, cfg); err != nil {
-			return err
+			return nil, nil, err
 		}
 	} else {
 		for i, id := range splitList(cfg.devices) {
@@ -198,62 +226,41 @@ func run(cfg fleetConfig) error {
 				Seed: cfg.seed + int64(i), Params: cfg.params,
 				Reset: cfg.reset, LineageK: cfg.lineage, LineageLen: cfg.lineageLen,
 			}); err != nil {
-				return err
+				return nil, nil, err
 			}
 		}
 	}
 	if len(d.Devices()) == 0 {
-		return fmt.Errorf("no devices configured")
+		return nil, nil, fmt.Errorf("no devices configured")
 	}
 	d.SetMaxWorkers(cfg.workers)
 	d.SetPipelineDepth(cfg.pipeline)
 	d.SetBatchSize(cfg.batch)
-	mode := "in-process"
-	if cfg.remote != "" {
-		mode = "remote"
-	}
-	fmt.Printf("fleet: %s (%s, workers=%d pipeline=%d batch=%d window=%d)\n",
-		strings.Join(d.Devices(), ", "), mode, cfg.workers, cfg.pipeline, cfg.batch, cfg.window)
+	return d, remotes, nil
+}
 
-	rounds := cfg.rounds
+// campaign runs iters iterations on every engine in rounds slices, calling
+// after at the end of each slice. Engines run in parallel only when there
+// is more than one: the parallel path applies relation learns on a
+// wall-clock ticker, while a lone engine runs its schedule in place, which
+// under the serial schedule is deterministic per seed.
+func campaign(d *daemon.Daemon, iters, rounds int, after func()) {
 	if rounds <= 0 {
 		rounds = 1
 	}
-	per := cfg.iters / rounds
+	per := iters / rounds
 	if per == 0 {
-		per, rounds = cfg.iters, 1
+		per, rounds = iters, 1
 	}
+	parallel := len(d.Devices()) > 1
 	for r := 0; r < rounds; r++ {
 		n := per
 		if r == rounds-1 {
-			n = cfg.iters - per*(rounds-1)
+			n = iters - per*(rounds-1)
 		}
-		d.Run(n, true)
-		printStats(d)
+		d.Run(n, parallel)
+		after()
 	}
-	printWireStats(remotes)
-
-	fmt.Println()
-	fmt.Println(crash.Table(d.Bugs()))
-	fmt.Printf("relation table: %v\n", d.Graph())
-	if cfg.corpusDir != "" {
-		if err := d.SaveCorpora(cfg.corpusDir); err != nil {
-			return err
-		}
-		fmt.Printf("corpora saved to %s\n", cfg.corpusDir)
-	}
-	if cfg.statusOut != "" {
-		f, err := os.Create(cfg.statusOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := d.WriteStatus(f); err != nil {
-			return err
-		}
-		fmt.Printf("status written to %s\n", cfg.statusOut)
-	}
-	return nil
 }
 
 // runCoordinated joins a droidcoordd fleet as one host: shard leases,
@@ -289,6 +296,12 @@ func runCoordinated(cfg fleetConfig) error {
 	fmt.Printf("host %s done: %d shard steal(s), corpus fingerprint %#x\n",
 		h.ID(), h.Steals(), h.Fingerprint())
 	printStats(d)
+	return report(d, cfg)
+}
+
+// report prints the crash and relation tables, then saves the corpora and
+// writes the JSON status report when the flags ask for them.
+func report(d *daemon.Daemon, cfg fleetConfig) error {
 	fmt.Println()
 	fmt.Println(crash.Table(d.Bugs()))
 	fmt.Printf("relation table: %v\n", d.Graph())
@@ -303,8 +316,11 @@ func runCoordinated(cfg fleetConfig) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := d.WriteStatus(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("status written to %s\n", cfg.statusOut)

@@ -46,15 +46,7 @@ func run(deviceID, path string, repeat int) error {
 		return err
 	}
 	dev := device.New(model)
-	target, err := dsl.NewTarget(dev.SyscallDescs()...)
-	if err != nil {
-		return err
-	}
-	pr, err := probe.Run(dev, probe.Options{})
-	if err != nil {
-		return err
-	}
-	target, err = target.Extend(pr.Interfaces...)
+	target, _, err := probe.Target(dev, probe.Options{})
 	if err != nil {
 		return err
 	}

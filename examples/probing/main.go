@@ -15,6 +15,7 @@ import (
 	"droidfuzz"
 	"droidfuzz/internal/adb"
 	"droidfuzz/internal/dsl"
+	"droidfuzz/internal/probe"
 )
 
 func main() {
@@ -23,7 +24,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	pr, err := droidfuzz.Probe(dev, droidfuzz.ProbeOptions{})
+	// Probe the device and build the combined syscall+HAL target from
+	// what the pass extracted.
+	target, pr, err := probe.Target(dev, probe.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,16 +46,8 @@ func main() {
 		fmt.Printf("  %.2f %s\n", d.Weight, d.Name)
 	}
 
-	// Build the combined syscall+HAL target and a broker, served over an
-	// in-memory transport exactly like the TCP deployment.
-	target, err := dsl.NewTarget(dev.SyscallDescs()...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	target, err = target.Extend(pr.Interfaces...)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Serve a broker over an in-memory transport exactly like the TCP
+	// deployment.
 	broker := adb.NewBroker(dev, target)
 
 	host, devSide := net.Pipe()

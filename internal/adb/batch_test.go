@@ -209,7 +209,7 @@ func TestResilientBatchTailRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	var served atomic.Int64 // batch frames answered across all connections
+	var served atomic.Int64 // batch frames handled across all connections
 	var kill atomic.Bool    // first connection dies after its first frame
 	kill.Store(true)
 	go func() {
@@ -230,16 +230,18 @@ func TestResilientBatchTailRetry(t *testing.T) {
 					}
 					rep := srv.handle(req, st)
 					rep.Tag = req.Tag
+					// Count the frame before replying: once the client
+					// has the last reply, the test reads served.
+					if req.Batch != nil {
+						served.Add(1)
+					}
 					err = enc.Encode(&rep)
 					rep.Result.Release()
 					if err != nil {
 						return
 					}
-					if req.Batch != nil {
-						served.Add(1)
-						if kill.Swap(false) {
-							return // sever the stream mid-batch
-						}
+					if req.Batch != nil && kill.Swap(false) {
+						return // sever the stream mid-batch
 					}
 				}
 			}()

@@ -40,28 +40,7 @@ var _ Fuzzer = (*engine.Engine)(nil)
 // NewDroidFuzz boots the full system for a device: probing pass, extended
 // target, shared-or-fresh relation graph, engine.
 func NewDroidFuzz(dev *device.Device, graph *relation.Graph, dedup *crash.Dedup, cfg engine.Config) (*engine.Engine, error) {
-	target, err := dsl.NewTarget(dev.SyscallDescs()...)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := probe.Run(dev, probe.Options{Params: cfg.Params})
-	if err != nil {
-		return nil, err
-	}
-	target, err = target.Extend(pr.Interfaces...)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Params {
-		target, err = target.Extend(pr.Params...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	broker := adb.NewBroker(dev, target)
-	eng := engine.New(broker, graph, dedup, cfg)
-	eng.SeedCorpus(pr.Seeds)
-	return eng, nil
+	return newDroidFuzz(dev, graph, dedup, cfg, false)
 }
 
 // NewDroidFuzzD builds the DROIDFUZZ-D variant: the full system with the
@@ -69,30 +48,23 @@ func NewDroidFuzz(dev *device.Device, graph *relation.Graph, dedup *crash.Dedup,
 // open/close/ioctl and HAL-origin read/write/mmap syscalls are blocked
 // (paper §V-C2).
 func NewDroidFuzzD(dev *device.Device, cfg engine.Config) (*engine.Engine, error) {
-	target, err := dsl.NewTarget(dev.SyscallDescs()...)
+	return newDroidFuzz(dev, relation.New(), crash.NewDedup(), cfg, true)
+}
+
+func newDroidFuzz(dev *device.Device, graph *relation.Graph, dedup *crash.Dedup, cfg engine.Config, ioctlOnly bool) (*engine.Engine, error) {
+	target, pr, err := probe.Target(dev, probe.Options{Params: cfg.Params})
 	if err != nil {
 		return nil, err
-	}
-	pr, err := probe.Run(dev, probe.Options{Params: cfg.Params})
-	if err != nil {
-		return nil, err
-	}
-	target, err = target.Extend(pr.Interfaces...)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Params {
-		// The target still carries the knob descriptions — the gate, not
-		// the description set, is what separates DROIDFUZZ-D from the full
-		// system — but the broker blocks the write leg of every param call.
-		target, err = target.Extend(pr.Params...)
-		if err != nil {
-			return nil, err
-		}
 	}
 	broker := adb.NewBroker(dev, target)
-	broker.SetIoctlOnly(true)
-	eng := engine.New(broker, relation.New(), crash.NewDedup(), cfg)
+	if ioctlOnly {
+		// With Params the target still carries the knob descriptions — the
+		// gate, not the description set, is what separates DROIDFUZZ-D from
+		// the full system — but the broker blocks the write leg of every
+		// param call.
+		broker.SetIoctlOnly(true)
+	}
+	eng := engine.New(broker, graph, dedup, cfg)
 	eng.SeedCorpus(pr.Seeds)
 	return eng, nil
 }

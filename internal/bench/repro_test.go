@@ -8,7 +8,6 @@ import (
 	"droidfuzz/internal/adb"
 	"droidfuzz/internal/bugs"
 	"droidfuzz/internal/device"
-	"droidfuzz/internal/dsl"
 	"droidfuzz/internal/probe"
 )
 
@@ -94,15 +93,7 @@ func probedBroker(t *testing.T, modelID string) *adb.Broker {
 		t.Fatal(err)
 	}
 	dev := device.New(m)
-	target, err := dsl.NewTarget(dev.SyscallDescs()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := probe.Run(dev, probe.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, err = target.Extend(pr.Interfaces...)
+	target, _, err := probe.Target(dev, probe.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

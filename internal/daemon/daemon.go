@@ -413,7 +413,7 @@ func (d *Daemon) UpdateFleet(fs FleetStatus) {
 // statusReport is the JSON shape of WriteStatus.
 type statusReport struct {
 	// Fleet is the multi-host block; absent for single-host campaigns.
-	Fleet *FleetStatus `json:"fleet,omitempty"`
+	Fleet   *FleetStatus            `json:"fleet,omitempty"`
 	Devices map[string]engine.Stats `json:"devices"`
 	// ExecErrors aggregates broker execution errors across the fleet; a
 	// nonzero value flags transport or program-build trouble that per-device
@@ -426,7 +426,7 @@ type statusReport struct {
 	// fleet; zero in a lineage-enabled campaign flags a dead fan-out path
 	// (executor without checkpoint support, or no kernel-new admissions).
 	LineageExecs uint64 `json:"lineage_execs"`
-	Relations  struct {
+	Relations    struct {
 		Vertices int    `json:"vertices"`
 		Edges    int    `json:"edges"`
 		Learned  uint64 `json:"learned"`

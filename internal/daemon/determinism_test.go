@@ -92,15 +92,8 @@ func TestSerialRemoteEngineMatchesInProcess(t *testing.T) {
 	// net.Pipe transport; the host engine learns the target and seeds
 	// exclusively from the handshake.
 	dev := device.New(model)
-	target, err := dsl.NewTarget(dev.SyscallDescs()...)
+	target, pr, err := probe.Target(dev, probe.Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := probe.Run(dev, probe.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if target, err = target.Extend(pr.Interfaces...); err != nil {
 		t.Fatal(err)
 	}
 	seedTexts := make([]string, len(pr.Seeds))

@@ -70,7 +70,7 @@ type Type struct {
 	// Empty means uniform draws — the historical behavior.
 	StrWeights []float64
 	Val        uint64 // KindConst value
-	LenOf      string   // KindLen: name of the buffer field measured
+	LenOf      string // KindLen: name of the buffer field measured
 	// Hints are argument values observed in real traffic (the probing
 	// pass harvests them from framework→HAL IPC); generation draws from
 	// them with small perturbations — the paper's historical payload

@@ -29,20 +29,27 @@ import (
 	"droidfuzz/internal/relation"
 )
 
-// Disabled is the sentinel for Config ratio/probability/factor fields whose
-// zero value means "use the default": setting a field to Disabled pins it
-// to zero instead (never generate, never admit direction-only novelty, no
-// decay), which a literal 0 cannot express.
-const Disabled = -1
+// Fixed campaign tuning.
+const (
+	// generateRatio is the probability of fresh generation vs corpus
+	// mutation; mutation dominates once a corpus exists.
+	generateRatio = 0.4
+	// dirAdmitProb is the probability of admitting a program whose only
+	// novelty is directional (HAL-order) signal. Every fresh interleaving
+	// hashes to new directional elements, so admitting them all floods the
+	// corpus and starves kernel-productive seeds; subsampling keeps the
+	// ordering guidance at a bounded dilution cost.
+	dirAdmitProb = 0.25
+	// snapshotEvery is the coverage-history sampling period in executions.
+	snapshotEvery = 25
+	// maxMinimizeExecs bounds the extra executions spent per minimization.
+	maxMinimizeExecs = 12
+)
 
 // Config tunes one engine.
 type Config struct {
 	// Seed seeds the engine's RNG; campaigns are reproducible.
 	Seed int64
-	// GenerateRatio is the probability of fresh generation vs corpus
-	// mutation (default 0.4; mutation dominates once a corpus exists).
-	// Set to Disabled to pin it to 0 (mutate-only once a corpus exists).
-	GenerateRatio float64
 	// NoRelations is the DF-NoRel ablation: random dependency generation
 	// and no relation learning.
 	NoRelations bool
@@ -50,26 +57,14 @@ type Config struct {
 	// dropped from the feedback signal.
 	NoHALCov bool
 	// DecayEvery is the period (in executions) of relation-weight decay
-	// (default 400). Set NoDecay to disable decay entirely.
+	// (default 400).
 	DecayEvery uint64
-	// NoDecay disables periodic relation-weight decay (DecayEvery's zero
-	// value means "default", so it cannot express "off" itself).
-	NoDecay bool
 	// DecayFactor multiplies edge weights at each decay (default 0.9; the
 	// valid range is (0,1), values outside it fall back to the default).
-	// Set to Disabled to suppress the decay effect without touching the
-	// schedule.
 	DecayFactor float64
-	// SnapshotEvery is the coverage-history sampling period in executions
-	// (default 25).
-	SnapshotEvery uint64
-	// MinimizeNew enables reproducing-signal minimization before corpus
-	// admission and relation learning (default on; set SkipMinimize to
-	// disable).
+	// SkipMinimize disables reproducing-signal minimization before corpus
+	// admission and relation learning (on by default).
 	SkipMinimize bool
-	// MaxMinimizeExecs bounds the extra executions spent per
-	// minimization (default 12).
-	MaxMinimizeExecs int
 	// Params enables the runtime-parameter dimension: the probing pass
 	// discovers writable sysfs knobs, the target gains their write
 	// descriptions, and generation may plant knob writes before the calls
@@ -78,13 +73,6 @@ type Config struct {
 	// historical seeds. The engine itself is gated by the target contents;
 	// this flag is consumed at target-assembly time (baseline, daemon).
 	Params bool
-	// DirAdmitProb is the probability of admitting a program whose only
-	// novelty is directional (HAL-order) signal (default 0.25). Every
-	// fresh interleaving hashes to new directional elements, so admitting
-	// them all floods the corpus and starves kernel-productive seeds;
-	// subsampling keeps the ordering guidance at a bounded dilution cost.
-	// Set to Disabled to never admit direction-only novelty.
-	DirAdmitProb float64
 	// Reset selects the pristine-reset campaign mode: "" or ResetNever
 	// accumulates device state within a boot (historical behavior),
 	// ResetExec restores the pristine checkpoint before every program, and
@@ -107,43 +95,12 @@ type Config struct {
 	Gen gen.Options
 }
 
-// resolveProb maps a probability-like config field to its effective value:
-// the zero value takes the default, Disabled (or any negative) pins 0, and
-// values above 1 clamp to 1.
-func resolveProb(v, def float64) float64 {
-	switch {
-	case v < 0:
-		return 0
-	case v == 0:
-		return def
-	case v > 1:
-		return 1
-	default:
-		return v
-	}
-}
-
 func (c *Config) defaults() {
-	c.GenerateRatio = resolveProb(c.GenerateRatio, 0.4)
-	c.DirAdmitProb = resolveProb(c.DirAdmitProb, 0.25)
 	if c.DecayEvery == 0 {
 		c.DecayEvery = 400
 	}
-	if c.NoDecay {
-		c.DecayEvery = 0 // the decay gate skips a zero period
-	}
-	switch {
-	case c.DecayFactor < 0:
-		// Explicitly disabled: Graph.Decay no-ops on a zero factor.
-		c.DecayFactor = 0
-	case c.DecayFactor == 0 || c.DecayFactor >= 1:
+	if c.DecayFactor <= 0 || c.DecayFactor >= 1 {
 		c.DecayFactor = 0.9
-	}
-	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 25
-	}
-	if c.MaxMinimizeExecs == 0 {
-		c.MaxMinimizeExecs = 12
 	}
 	if c.Reset == "" {
 		c.Reset = ResetNever
@@ -436,7 +393,7 @@ type pending struct {
 // Pick) is part of the serial determinism contract — do not reorder.
 func (e *Engine) nextFrom(rng *rand.Rand, g *gen.Generator, climit int) pending {
 	seed := e.corpus.PickN(rng, climit)
-	if seed == nil || rng.Float64() < e.cfg.GenerateRatio {
+	if seed == nil || rng.Float64() < generateRatio {
 		return pending{g.Generate(), true}
 	}
 	donor := e.corpus.PickN(rng, climit)
@@ -460,7 +417,7 @@ func (e *Engine) feed(p *dsl.Prog, generated bool, res *adb.ExecResult, sig *fee
 	newElems := e.acc.MergeNew(sig)
 	if newElems.Len() > 0 {
 		e.newSig.Add(1)
-		admit := newElems.KernelLen() > 0 || e.rng.Float64() < e.cfg.DirAdmitProb
+		admit := newElems.KernelLen() > 0 || e.rng.Float64() < dirAdmitProb
 		if admit {
 			admitted := p
 			if !e.cfg.SkipMinimize {
@@ -489,10 +446,10 @@ func (e *Engine) feed(p *dsl.Prog, generated bool, res *adb.ExecResult, sig *fee
 		e.lineage(lineageSeed)
 	}
 
-	if e.cfg.DecayEvery > 0 && e.execs.Load()%e.cfg.DecayEvery == 0 {
+	if e.execs.Load()%e.cfg.DecayEvery == 0 {
 		e.graph.Decay(e.cfg.DecayFactor, 0.01)
 	}
-	if e.execs.Load()%e.cfg.SnapshotEvery == 0 {
+	if e.execs.Load()%snapshotEvery == 0 {
 		e.acc.Snapshot(e.execs.Load())
 	}
 	e.sanitizeStep()
@@ -660,7 +617,7 @@ func (e *Engine) minimize(p *dsl.Prog, want *feedback.Signal) *dsl.Prog {
 		e.reset()
 		return p
 	}
-	budget := e.cfg.MaxMinimizeExecs
+	budget := maxMinimizeExecs
 	cur := p
 	for i := cur.Len() - 1; i >= 0 && budget > 0; i-- {
 		if cur.Len() <= 1 {

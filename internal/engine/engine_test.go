@@ -24,17 +24,9 @@ func newBroker(t testing.TB, modelID string) *adb.Broker {
 		t.Fatalf("model %s: %v", modelID, err)
 	}
 	dev := device.New(model)
-	target, err := dsl.NewTarget(dev.SyscallDescs()...)
-	if err != nil {
-		t.Fatalf("target: %v", err)
-	}
-	pr, err := probe.Run(dev, probe.Options{})
+	target, _, err := probe.Target(dev, probe.Options{})
 	if err != nil {
 		t.Fatalf("probe: %v", err)
-	}
-	target, err = target.Extend(pr.Interfaces...)
-	if err != nil {
-		t.Fatalf("extend: %v", err)
 	}
 	return adb.NewBroker(dev, target)
 }
@@ -191,29 +183,6 @@ func TestEngineCountsExecErrors(t *testing.T) {
 	}
 	if st.Execs < 50 {
 		t.Fatalf("faults stalled virtual time: execs = %d", st.Execs)
-	}
-}
-
-// TestEngineDisabledGenerateRatio: with GenerateRatio pinned to zero via
-// the sentinel, the engine only generates while the corpus is empty and
-// mutates ever after.
-func TestEngineDisabledGenerateRatio(t *testing.T) {
-	e := newEngine(t, "A1", engine.Config{Seed: 14, GenerateRatio: engine.Disabled})
-	target := e.Gen().Target()
-	prog, err := dsl.ParseProg(target, `r0 = open$tcpc(path="/dev/tcpc0")
-ioctl$TCPC_SET_MODE(fd=r0, req=0xa102, mode=0x3)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SeedCorpus([]*dsl.Prog{prog})
-	e.Run(100)
-	st := e.Stats()
-	if st.Generated != 0 {
-		t.Fatalf("generated = %d with GenerateRatio disabled and a seeded corpus", st.Generated)
-	}
-	if st.Mutated != 100 {
-		t.Fatalf("mutated = %d, want 100", st.Mutated)
 	}
 }
 

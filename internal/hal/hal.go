@@ -221,7 +221,7 @@ type Process struct {
 	snap.Dirty
 
 	inner   binder.Service
-	label   string //droidvet:checkpoint ephemeral service identity, fixed at construction
+	label   string                //droidvet:checkpoint ephemeral service identity, fixed at construction
 	rebuild func() binder.Service // reconstructs a pristine service on restore
 	mu      sync.Mutex
 	dead    bool

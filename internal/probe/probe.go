@@ -193,6 +193,31 @@ func Run(dev *device.Device, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// Target is the device bring-up every fuzzing entry point shares: it builds
+// the device's syscall target, runs the probing pass, and extends the
+// target with the probed HAL interfaces and then, with opts.Params, the
+// discovered knob descriptions. That order fixes the call IDs and the
+// target hash a remote host verifies against its own rebuild.
+func Target(dev *device.Device, opts Options) (*dsl.Target, *Result, error) {
+	target, err := dsl.NewTarget(dev.SyscallDescs()...)
+	if err != nil {
+		return nil, nil, err
+	}
+	pr, err := Run(dev, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if target, err = target.Extend(pr.Interfaces...); err != nil {
+		return nil, nil, err
+	}
+	if opts.Params {
+		if target, err = target.Extend(pr.Params...); err != nil {
+			return nil, nil, err
+		}
+	}
+	return target, pr, nil
+}
+
 // normalizeWeights maps raw occurrence counts onto [MinWeight, MaxWeight],
 // normalizing within the given description pool.
 func normalizeWeights(descs []*dsl.CallDesc, counts map[string]int, opts Options) {
