@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestConfigDefaultsZeroValues: the zero Config resolves to the documented
 // defaults.
@@ -12,6 +15,19 @@ func TestConfigDefaultsZeroValues(t *testing.T) {
 	}
 	if c.DecayEvery != 400 {
 		t.Errorf("schedule defaults wrong: %+v", c)
+	}
+}
+
+// TestConfigNoDecayFlag: there is no separate flag to turn decay off; a
+// campaign that wants none sets DecayEvery past its budget, so an explicit
+// DecayEvery must survive defaults unchanged.
+func TestConfigNoDecayFlag(t *testing.T) {
+	for _, every := range []uint64{1000, math.MaxUint64} {
+		c := Config{DecayEvery: every}
+		c.defaults()
+		if c.DecayEvery != every {
+			t.Errorf("DecayEvery = %d, want %d", c.DecayEvery, every)
+		}
 	}
 }
 
