@@ -1,7 +1,6 @@
 package dsl
 
 import (
-	"bufio"
 	"fmt"
 	"sort"
 	"strconv"
@@ -111,23 +110,16 @@ func joinQuoted(ss []string) string {
 // ParseDescs parses a description file back into call descriptions.
 func ParseDescs(text string) ([]*CallDesc, error) {
 	var out []*CallDesc
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		d, err := parseDescLine(line)
+	ls := lines{rest: text}
+	for ls.next() {
+		d, err := parseDescLine(ls.line)
 		if err != nil {
-			return nil, fmt.Errorf("dsl: descs line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("dsl: descs line %d: %w", ls.no, err)
 		}
 		out = append(out, d)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dsl: descs scan: %w", err)
+	if ls.err != nil {
+		return nil, fmt.Errorf("dsl: descs scan: %w", ls.err)
 	}
 	return out, nil
 }
@@ -231,51 +223,42 @@ func parseDescLine(line string) (*CallDesc, error) {
 // honoring double-quoted segments.
 func matchParen(s string, open int) int {
 	depth := 0
-	inQuote := false
 	for i := open; i < len(s); i++ {
 		switch s[i] {
 		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				inQuote = !inQuote
+			if i = quoteEnd(s, i); i < 0 {
+				return -1
 			}
 		case '(':
-			if !inQuote {
-				depth++
-			}
+			depth++
 		case ')':
-			if !inQuote {
-				depth--
-				if depth == 0 {
-					return i
-				}
+			depth--
+			if depth == 0 {
+				return i
 			}
 		}
 	}
 	return -1
 }
 
-// splitTopLevel splits on commas outside brackets and quotes.
+// splitTopLevel splits on commas outside brackets and quotes. An
+// unterminated quote runs to the end of s, inside the last part.
 func splitTopLevel(s string) []string {
 	var parts []string
 	depth := 0
-	inQuote := false
 	start := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				inQuote = !inQuote
+			if i = quoteEnd(s, i); i < 0 {
+				i = len(s)
 			}
 		case '[', '(':
-			if !inQuote {
-				depth++
-			}
+			depth++
 		case ']', ')':
-			if !inQuote {
-				depth--
-			}
+			depth--
 		case ',':
-			if !inQuote && depth == 0 {
+			if depth == 0 {
 				parts = append(parts, s[start:i])
 				start = i + 1
 			}

@@ -2,7 +2,6 @@ package dsl
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -312,11 +311,15 @@ func TestCriticalVal(t *testing.T) {
 }
 
 func TestSplitArgsQuoting(t *testing.T) {
-	parts, err := splitArgs(`a="x,y", b=1`)
-	if err != nil || len(parts) != 2 || !strings.Contains(parts[0], "x,y") {
-		t.Fatalf("parts = %v, err = %v", parts, err)
+	s := `a="x,y", b=1`
+	if n, err := countArgs(s); err != nil || n != 2 {
+		t.Fatalf("countArgs = %d, %v", n, err)
 	}
-	if _, err := splitArgs(`a="unterminated`); err == nil {
+	first, rest := cutArg(s)
+	if first != `a="x,y"` || rest != ` b=1` {
+		t.Fatalf("cutArg = %q, %q", first, rest)
+	}
+	if _, err := countArgs(`a="unterminated`); err == nil {
 		t.Fatal("unterminated quote accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -22,9 +23,13 @@ import (
 // String serializes the program to its canonical text form.
 func (p *Prog) String() string {
 	var b strings.Builder
+	b.Grow(p.textLen())
+	var num [20]byte
 	for i, c := range p.Calls {
 		if c.Desc.Ret != "" {
-			fmt.Fprintf(&b, "r%d = ", i)
+			b.WriteByte('r')
+			b.Write(strconv.AppendInt(num[:0], int64(i), 10))
+			b.WriteString(" = ")
 		}
 		b.WriteString(c.Desc.Name)
 		b.WriteByte('(')
@@ -42,45 +47,118 @@ func (p *Prog) String() string {
 }
 
 func writeArg(b *strings.Builder, t Type, a Arg) {
+	var scratch [64]byte
 	switch t.Kind {
 	case KindBuffer:
 		b.WriteString(`b"`)
-		b.WriteString(hex.EncodeToString(a.Data))
+		for data := a.Data; len(data) > 0; {
+			n := min(len(data), len(scratch)/2)
+			b.Write(scratch[:hex.Encode(scratch[:], data[:n])])
+			data = data[n:]
+		}
 		b.WriteByte('"')
 	case KindString, KindFilename:
-		b.WriteString(strconv.Quote(a.Str))
+		b.Write(strconv.AppendQuote(scratch[:0], a.Str))
 	case KindResource:
 		if a.Ref < 0 {
 			b.WriteString("nil")
 		} else {
-			fmt.Fprintf(b, "r%d", a.Ref)
+			b.WriteByte('r')
+			b.Write(strconv.AppendInt(scratch[:0], int64(a.Ref), 10))
 		}
 	default:
-		fmt.Fprintf(b, "%#x", a.Val)
+		b.WriteString("0x")
+		b.Write(strconv.AppendUint(scratch[:0], a.Val, 16))
 	}
+}
+
+// textLen is the length of p's canonical text, exact unless a string
+// argument needs escaping, so String fills its builder without regrowing.
+func (p *Prog) textLen() int {
+	n := 0
+	for i, c := range p.Calls {
+		if c.Desc.Ret != "" {
+			n += len("r = ") + decLen(i)
+		}
+		n += len(c.Desc.Name) + len("()\n")
+		for j, f := range c.Desc.Args {
+			if j > 0 {
+				n += len(", ")
+			}
+			n += len(f.Name) + len("=")
+			a := c.Args[j]
+			switch f.Type.Kind {
+			case KindBuffer:
+				n += len(`b""`) + 2*len(a.Data)
+			case KindString, KindFilename:
+				n += len(`""`) + len(a.Str)
+			case KindResource:
+				n += len("r") + decLen(a.Ref)
+			default:
+				n += len("0x") + max(1, (bits.Len64(a.Val)+3)/4)
+			}
+		}
+	}
+	return n
+}
+
+// decLen is the number of decimal digits in v (3, for "nil", if negative).
+func decLen(v int) int {
+	if v < 0 {
+		return 3
+	}
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// maxLine is the longest line, in bytes before its newline, that the text
+// codecs accept: a longer one fails with bufio.ErrTooLong, as it did when
+// each parse read its text through a 1 MiB bufio.Scanner.
+const maxLine = 1<<20 - 1
+
+// lines walks a text one line at a time, in place. next stops at each line
+// that is neither blank nor a '#' comment; line holds it trimmed of
+// surrounding space and no its 1-based number, skipped lines included.
+type lines struct {
+	rest string
+	line string
+	no   int
+	err  error
+}
+
+func (l *lines) next() bool {
+	for l.rest != "" {
+		var raw string
+		raw, l.rest, _ = strings.Cut(l.rest, "\n")
+		l.no++
+		if len(raw) > maxLine {
+			l.err, l.rest = bufio.ErrTooLong, ""
+			return false
+		}
+		if l.line = strings.TrimSpace(raw); l.line != "" && l.line[0] != '#' {
+			return true
+		}
+	}
+	return false
 }
 
 // ParseProg parses the canonical text form against the target. Unknown call
 // names, malformed arguments, and invalid resource references are errors.
 func ParseProg(target *Target, text string) (*Prog, error) {
-	p := &Prog{}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		c, err := parseCall(target, line, len(p.Calls))
+	p := &Prog{Calls: make([]*Call, 0, strings.Count(text, "\n")+1)}
+	ls := lines{rest: text}
+	for ls.next() {
+		c, err := parseCall(target, ls.line, len(p.Calls))
 		if err != nil {
-			return nil, fmt.Errorf("dsl: line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("dsl: line %d: %w", ls.no, err)
 		}
 		p.Calls = append(p.Calls, c)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dsl: scan: %w", err)
+	if ls.err != nil {
+		return nil, fmt.Errorf("dsl: scan: %w", ls.err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -112,17 +190,18 @@ func parseCall(target *Target, line string, idx int) (*Call, error) {
 	if desc == nil {
 		return nil, fmt.Errorf("unknown call %q", name)
 	}
-	argText := line[open+1 : len(line)-1]
-	parts, err := splitArgs(argText)
+	args := strings.TrimSpace(line[open+1 : len(line)-1])
+	n, err := countArgs(args)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if len(parts) != len(desc.Args) {
-		return nil, fmt.Errorf("%s: got %d args, want %d", name, len(parts), len(desc.Args))
+	if n != len(desc.Args) {
+		return nil, fmt.Errorf("%s: got %d args, want %d", name, n, len(desc.Args))
 	}
-	c := &Call{Desc: desc, Args: make([]Arg, len(parts))}
-	for i, part := range parts {
-		f := desc.Args[i]
+	c := &Call{Desc: desc, Args: make([]Arg, n)}
+	for i, f := range desc.Args {
+		var part string
+		part, args = cutArg(args)
 		eq := strings.Index(part, "=")
 		if eq < 0 {
 			return nil, fmt.Errorf("%s: arg %d missing name", name, i)
@@ -140,34 +219,66 @@ func parseCall(target *Target, line string, idx int) (*Call, error) {
 	return c, nil
 }
 
-// splitArgs splits on top-level commas, honoring double-quoted segments.
-func splitArgs(s string) ([]string, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
+// quoteEnd returns the index of the '"' that closes the quoted segment
+// opening at s[open], or -1 if it is unterminated. Inside the segment a
+// backslash escapes the byte after it, so `"a\\"` closes at its last byte
+// and `"a\"b"` does not close at its middle quote.
+func quoteEnd(s string, open int) int {
+	for i := open + 1; ; {
+		q := strings.IndexByte(s[i:], '"')
+		if q < 0 {
+			return -1
+		}
+		e := strings.IndexByte(s[i:i+q], '\\')
+		if e < 0 {
+			return i + q
+		}
+		i += e + 2 // past the backslash and the byte it escapes
 	}
-	var parts []string
-	start := 0
-	inQuote := false
+}
+
+// argEnd returns the index of the first comma in s outside a quoted
+// segment, len(s) if there is none, or -1 if a quote is unterminated.
+func argEnd(s string) int {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '"':
-			// A quote is escaped only if preceded by a backslash.
-			if i == 0 || s[i-1] != '\\' {
-				inQuote = !inQuote
+			if i = quoteEnd(s, i); i < 0 {
+				return -1
 			}
 		case ',':
-			if !inQuote {
-				parts = append(parts, strings.TrimSpace(s[start:i]))
-				start = i + 1
-			}
+			return i
 		}
 	}
-	if inQuote {
-		return nil, fmt.Errorf("unterminated quote")
+	return len(s)
+}
+
+// countArgs counts the comma-separated arguments of a call's trimmed
+// argument text, honoring quoted segments; an empty text has none.
+func countArgs(s string) (int, error) {
+	if s == "" {
+		return 0, nil
 	}
-	parts = append(parts, strings.TrimSpace(s[start:]))
-	return parts, nil
+	for n := 1; ; n++ {
+		end := argEnd(s)
+		if end < 0 {
+			return 0, fmt.Errorf("unterminated quote")
+		}
+		if end == len(s) {
+			return n, nil
+		}
+		s = s[end+1:]
+	}
+}
+
+// cutArg splits off the first argument of an argument text countArgs
+// accepted: arg is that argument trimmed, rest the text after its comma.
+func cutArg(s string) (arg, rest string) {
+	end := argEnd(s)
+	if end == len(s) {
+		return strings.TrimSpace(s), ""
+	}
+	return strings.TrimSpace(s[:end]), s[end+1:]
 }
 
 func parseArg(t Type, s string) (Arg, error) {

@@ -11,7 +11,8 @@ import (
 )
 
 // randProg builds a random valid program over the test target: opens,
-// ioctls referencing earlier opens, writes.
+// ioctls referencing earlier opens, then HAL calls on ioctl handles with
+// random string arguments.
 func randProg(t *testing.T, target *Target, rng *rand.Rand) *Prog {
 	t.Helper()
 	p := &Prog{}
@@ -31,10 +32,30 @@ func randProg(t *testing.T, target *Target, rng *rand.Rand) *Prog {
 		c.Args[0].Ref = rng.Intn(nOpens)
 		p.Calls = append(p.Calls, c)
 	}
+	for i := rng.Intn(3); i > 0; i-- {
+		d := target.Lookup("hal$svc.doThing")
+		// The handle comes from a random ioctl, if there is one.
+		handle := -1
+		if nCalls > 0 {
+			handle = nOpens + rng.Intn(nCalls)
+		}
+		p.Calls = append(p.Calls, &Call{Desc: d, Args: []Arg{{Ref: handle}, {Str: randStr(rng)}}})
+	}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("randProg built invalid program: %v", err)
 	}
 	return p
+}
+
+// randStr draws a short string heavy in the bytes the text form must quote,
+// escape or split on: backslash, double quote, comma and newline.
+func randStr(rng *rand.Rand) string {
+	const alphabet = "ab\\\",=() \n"
+	b := make([]byte, rng.Intn(7))
+	for i := range b {
+		b[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	return string(b)
 }
 
 // TestRemoveInsertPreserveValidity: any single remove or insert on a valid
