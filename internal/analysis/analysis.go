@@ -166,29 +166,15 @@ func DefaultConfig() Config {
 			// PR 7 runtime-parameter state: knob snapshots restore the
 			// sysfs-visible values, one payload per driver family.
 			"droidfuzz/internal/drivers.knobsState",
-			// PR 8 portable checkpoints: exported blobs are immutable the
-			// moment Export returns — one decoded Checkpoint may be imported
-			// into any number of clone twins, so a write through an imported
-			// blob would corrupt every sibling. Only the Export builders
-			// (construction before publication) may assemble them.
+			// The payloads' entry types; the HCI connection and the KASAN
+			// object are live driver and heap types as well, so they are
+			// covered through their payloads instead.
+			"droidfuzz/internal/drivers.v4l2Ctrl",
+			"droidfuzz/internal/drivers.gpuBuffer",
+			// Portable checkpoints: a decoded checkpoint is immutable — one
+			// decode may seed any number of clone twins, so a write through
+			// its payloads would corrupt every sibling.
 			"droidfuzz/internal/device.Checkpoint",
-			"droidfuzz/internal/vkernel.KernelExport",
-			"droidfuzz/internal/kasan.HeapExport",
-			"droidfuzz/internal/kasan.HeapObjectExport",
-			"droidfuzz/internal/binder.SMExport",
-			"droidfuzz/internal/hal.ProcExport",
-			"droidfuzz/internal/drivers.TCPCExport",
-			"droidfuzz/internal/drivers.HCIExport",
-			"droidfuzz/internal/drivers.HCIConnExport",
-			"droidfuzz/internal/drivers.V4L2Export",
-			"droidfuzz/internal/drivers.AudioExport",
-			"droidfuzz/internal/drivers.GPUExport",
-			"droidfuzz/internal/drivers.WLANExport",
-			"droidfuzz/internal/drivers.SensorExport",
-			"droidfuzz/internal/drivers.NFCExport",
-			"droidfuzz/internal/drivers.ThermalExport",
-			"droidfuzz/internal/drivers.TouchExport",
-			"droidfuzz/internal/drivers.KnobsExport",
 		},
 		SnapshotBuilders: []string{
 			"droidfuzz/internal/relation.Graph.buildSnapshotLocked",
@@ -227,29 +213,9 @@ func DefaultConfig() Config {
 			"droidfuzz/internal/drivers.TouchDriver.Restore",
 			"droidfuzz/internal/drivers.Knobs.Checkpoint",
 			"droidfuzz/internal/drivers.Knobs.Restore",
-			// PR 8 checkpoint portability: Export methods assemble blobs
-			// before publication; rebindSnapshot re-points a shared snapshot
-			// at a twin's own subsystems (the payloads themselves stay
-			// shared); ExportCheckpoint/exportBlobs serialize published
-			// blobs without mutating them.
+			// Clone twins: rebindSnapshot re-points a shared snapshot at a
+			// twin's own subsystems (the payloads themselves stay shared).
 			"droidfuzz/internal/device.rebindSnapshot",
-			"droidfuzz/internal/device.Device.exportBlobs",
-			"droidfuzz/internal/device.Device.ExportCheckpoint",
-			"droidfuzz/internal/vkernel.Kernel.Export",
-			"droidfuzz/internal/kasan.Heap.Export",
-			"droidfuzz/internal/binder.ServiceManager.Export",
-			"droidfuzz/internal/hal.Process.Export",
-			"droidfuzz/internal/drivers.TCPCDriver.Export",
-			"droidfuzz/internal/drivers.HCIDriver.Export",
-			"droidfuzz/internal/drivers.V4L2Driver.Export",
-			"droidfuzz/internal/drivers.AudioDriver.Export",
-			"droidfuzz/internal/drivers.GPUDriver.Export",
-			"droidfuzz/internal/drivers.WLANDriver.Export",
-			"droidfuzz/internal/drivers.SensorDriver.Export",
-			"droidfuzz/internal/drivers.NFCDriver.Export",
-			"droidfuzz/internal/drivers.ThermalDriver.Export",
-			"droidfuzz/internal/drivers.TouchDriver.Export",
-			"droidfuzz/internal/drivers.Knobs.Export",
 		},
 		WireRoots: []string{
 			"droidfuzz/internal/adb.rpcRequest",

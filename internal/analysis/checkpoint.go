@@ -19,15 +19,15 @@ import (
 //     //droidvet:checkpoint ephemeral <why> annotation on their
 //     declaration line (or the line above);
 //   - state round-trip: the checkpoint payload types (named structs
-//     constructed or asserted to inside Checkpoint/Restore) must have
-//     every field populated by Checkpoint and read back by Restore —
-//     deleting a single field capture fails vet instead of restore;
-//   - export round-trip: the same payload fields must reach the portable
-//     blob (read somewhere in Export's own closure, Checkpoint excluded so
-//     delegation cannot satisfy the check trivially) and be re-materialized
-//     by Import; and every field of the export blob types (named structs
-//     built in Export) must be populated by Export and consumed by Import,
-//     so a blob field cannot silently stop round-tripping through gob.
+//     asserted to inside Checkpoint/Restore) must have every field
+//     populated by Checkpoint and read back by Restore — deleting a single
+//     field capture fails vet instead of restore;
+//   - portability: the payload is also the portable checkpoint, which gob
+//     encodes and gob silently skips unexported fields. So every field of
+//     a payload type, and of every module struct reachable from it through
+//     encoded fields, must be exported — or annotated
+//     //droidvet:checkpoint device-local <why> when it deliberately never
+//     leaves its device.
 //
 // Auto-exempt: embedded fields (the snap.Dirty generation counter), sync
 // package types (mutexes guard state, they are not state), and fields whose
@@ -48,8 +48,9 @@ func checkCheckpoints(prog *Program, cfg Config) []Diagnostic {
 	idx := prog.index()
 
 	var diags []Diagnostic
+	portable := make(map[*types.TypeName]bool) // payload structs already checked for portability
 	for _, impl := range subsystemImplementers(prog, iface) {
-		diags = append(diags, checkOneSubsystem(prog, idx, iface, impl)...)
+		diags = append(diags, checkOneSubsystem(prog, idx, iface, impl, portable)...)
 	}
 	return diags
 }
@@ -84,10 +85,10 @@ func subsystemImplementers(prog *Program, iface *types.Interface) []*types.TypeN
 // The snap.Subsystem method names; closures for one root never descend into
 // the others, so each leg of the round-trip is proven by its own code.
 var subsystemMethods = map[string]bool{
-	"Checkpoint": true, "Restore": true, "Export": true, "Import": true, "Gen": true,
+	"Checkpoint": true, "Restore": true, "Gen": true,
 }
 
-func checkOneSubsystem(prog *Program, idx *declIndex, iface *types.Interface, impl *types.TypeName) []Diagnostic {
+func checkOneSubsystem(prog *Program, idx *declIndex, iface *types.Interface, impl *types.TypeName, portable map[*types.TypeName]bool) []Diagnostic {
 	closureOf := func(root string) []bodyDecl {
 		skip := make(map[string]bool, len(subsystemMethods))
 		for m := range subsystemMethods {
@@ -99,8 +100,6 @@ func checkOneSubsystem(prog *Program, idx *declIndex, iface *types.Interface, im
 	}
 	cpBodies := closureOf("Checkpoint")
 	reBodies := closureOf("Restore")
-	exBodies := closureOf("Export")
-	imBodies := closureOf("Import")
 
 	var diags []Diagnostic
 	report := func(f *types.Var, format string, args ...any) {
@@ -130,9 +129,8 @@ func checkOneSubsystem(prog *Program, idx *declIndex, iface *types.Interface, im
 	}
 
 	// State payload types: what Restore asserts its `any` argument down to.
-	// Each payload field must round-trip both the in-memory checkpoint
-	// (populated by Checkpoint, read by Restore) and the portable one (read
-	// by Export, populated by Import).
+	// Each payload field must round-trip the checkpoint: populated by
+	// Checkpoint, read back by Restore.
 	states := assertedStructsIn(prog, append(append([]bodyDecl{}, cpBodies...), reBodies...))
 	delete(states, impl)
 	stripImplementers(iface, states)
@@ -140,12 +138,8 @@ func checkOneSubsystem(prog *Program, idx *declIndex, iface *types.Interface, im
 		stOwners := fieldOwners(states)
 		cpUses := make(map[*types.Var]int)
 		reUses := make(map[*types.Var]int)
-		exUses := make(map[*types.Var]int)
-		imUses := make(map[*types.Var]int)
 		collectFieldUses(cpBodies, stOwners, cpUses)
 		collectFieldUses(reBodies, stOwners, reUses)
-		collectFieldUses(exBodies, stOwners, exUses)
-		collectFieldUses(imBodies, stOwners, imUses)
 		for _, stn := range sortedTypeNames(states) {
 			ss := stn.Type().Underlying().(*types.Struct)
 			for i := 0; i < ss.NumFields(); i++ {
@@ -161,51 +155,66 @@ func checkOneSubsystem(prog *Program, idx *declIndex, iface *types.Interface, im
 					report(f, "checkpoint state field %s.%s is never read back by %s.Restore; restore≡reboot cannot hold",
 						shortName(stn), f.Name(), shortName(impl))
 				}
-				if exUses[f]&useRead == 0 {
-					report(f, "checkpoint state field %s.%s does not reach the portable blob built by %s.Export",
-						shortName(stn), f.Name(), shortName(impl))
-				}
-				if imUses[f]&(useKey|useWrite) == 0 {
-					report(f, "checkpoint state field %s.%s is never re-materialized by %s.Import",
-						shortName(stn), f.Name(), shortName(impl))
-				}
-			}
-		}
-
-		// Export blob types: what Import asserts down to (minus payloads).
-		// Their fields must be populated by Export and consumed by Import.
-		blobs := assertedStructsIn(prog, append(append([]bodyDecl{}, exBodies...), imBodies...))
-		delete(blobs, impl)
-		stripImplementers(iface, blobs)
-		for stn := range states {
-			delete(blobs, stn)
-		}
-		if len(blobs) > 0 {
-			blobOwners := fieldOwners(blobs)
-			exBlob := make(map[*types.Var]int)
-			imBlob := make(map[*types.Var]int)
-			collectFieldUses(exBodies, blobOwners, exBlob)
-			collectFieldUses(imBodies, blobOwners, imBlob)
-			for _, btn := range sortedTypeNames(blobs) {
-				bs := btn.Type().Underlying().(*types.Struct)
-				for i := 0; i < bs.NumFields(); i++ {
-					f := bs.Field(i)
-					if exemptField(iface, f) {
-						continue
-					}
-					if exBlob[f]&(useKey|useWrite) == 0 {
-						report(f, "export blob field %s.%s is never populated by %s.Export",
-							shortName(btn), f.Name(), shortName(impl))
-					}
-					if imBlob[f]&useRead == 0 {
-						report(f, "export blob field %s.%s is never consumed by %s.Import",
-							shortName(btn), f.Name(), shortName(impl))
-					}
-				}
 			}
 		}
 	}
+
+	// Portability: every struct the encoded payload reaches holds exported
+	// fields only, bar the annotated device-local ones.
+	for _, stn := range sortedTypeNames(states) {
+		walkPortable(prog, stn, portable, func(owner *types.TypeName, f *types.Var) {
+			report(f, "checkpoint payload field %s.%s is unexported, so gob drops it from the portable checkpoint; export it or annotate it //droidvet:checkpoint device-local <why>",
+				shortName(owner), f.Name())
+		})
+	}
 	return diags
+}
+
+// walkPortable visits the module struct tn and every module struct
+// reachable from its exported fields (through pointers, slices, arrays and
+// maps), calling bad for each unexported field. Unexported fields are not
+// descended into: gob never encodes them, so what they reach is
+// device-local too. seen is shared across the pass so a struct reached
+// from several payloads is reported once.
+func walkPortable(prog *Program, tn *types.TypeName, seen map[*types.TypeName]bool, bad func(*types.TypeName, *types.Var)) {
+	if seen[tn] {
+		return
+	}
+	seen[tn] = true
+	st, ok := tn.Type().Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if !f.Exported() {
+			bad(tn, f)
+			continue
+		}
+		for _, named := range namedElems(f.Type()) {
+			if pkg := named.Obj().Pkg(); pkg != nil && prog.Pkgs[pkg.Path()] != nil {
+				walkPortable(prog, named.Obj(), seen, bad)
+			}
+		}
+	}
+}
+
+// namedElems returns the named types a field type stores: itself, or the
+// elements of the pointers, slices, arrays and maps wrapping them.
+func namedElems(t types.Type) []*types.Named {
+	switch u := types.Unalias(t).(type) {
+	case *types.Named:
+		return []*types.Named{u}
+	case *types.Pointer:
+		return namedElems(u.Elem())
+	case *types.Slice:
+		return namedElems(u.Elem())
+	case *types.Array:
+		return namedElems(u.Elem())
+	case *types.Map:
+		return append(namedElems(u.Key()), namedElems(u.Elem())...)
+	}
+	return nil
 }
 
 // stripImplementers removes types that are themselves subsystems from a

@@ -69,8 +69,8 @@ func (p *Program) index() *declIndex {
 // methodClosure walks the static call graph from the named root methods of
 // tn, staying on methods of tn itself, and returns the reachable method
 // bodies in deterministic order. Methods named in skip are never entered —
-// the checkpoint pass uses this to keep e.g. Export's closure from
-// trivially satisfying itself through the Checkpoint body it delegates to.
+// the checkpoint pass uses this to keep e.g. Restore's closure from
+// satisfying itself through a Checkpoint body it happens to call.
 func (idx *declIndex) methodClosure(tn *types.TypeName, roots []string, skip map[string]bool) []bodyDecl {
 	seen := make(map[string]bool)
 	var out []bodyDecl
@@ -246,11 +246,11 @@ func collectFieldUses(bodies []bodyDecl, owners map[*types.Var]*types.TypeName, 
 
 // assertedStructsIn returns the module-internal named struct types the
 // given bodies type-assert to (x.(T), x.(*T), or a type-switch case) — the
-// derivation the checkpoint pass uses to find state payload and export
-// blob types without registering them one by one. Assertion, not
-// construction, is the discriminator: Restore and Import always assert
-// their `any` argument down to the payload, while deep-copy helpers
-// construct plenty of element types that are not payloads.
+// derivation the checkpoint pass uses to find state payload types without
+// registering them one by one. Assertion, not construction, is the
+// discriminator: Restore always asserts its `any` argument down to the
+// payload, while deep-copy helpers construct plenty of element types that
+// are not payloads.
 func assertedStructsIn(prog *Program, bodies []bodyDecl) map[*types.TypeName]bool {
 	out := make(map[*types.TypeName]bool)
 	record := func(e ast.Expr, info *types.Info) {

@@ -1,18 +1,12 @@
 package cpt
 
-// badState is Bad's checkpoint payload; field c never round-trips at all
-// and field b is dropped on the portable legs.
+// badState is Bad's checkpoint payload: C never round-trips at all, and b
+// round-trips in memory but is unexported and unannotated, so gob would
+// drop it from the portable checkpoint.
 type badState struct {
-	a uint64
+	A uint64
 	b uint64
-	c uint64
-}
-
-// BadExport drops everything but A; Orphan is dead weight Export never
-// fills and Import never reads.
-type BadExport struct {
-	A      uint64
-	Orphan uint64
+	C uint64
 }
 
 // Bad seeds one violation of every checkpoint check: leak is stateful but
@@ -25,30 +19,16 @@ type Bad struct {
 	waived uint64 //droidvet:checkpoint deliberate fixture omission
 }
 
-// Checkpoint implements Subsystem: badState.c is never populated.
+// Checkpoint implements Subsystem: badState.C is never populated.
 func (d *Bad) Checkpoint() any {
-	return badState{a: d.a, b: d.b}
+	return badState{A: d.a, b: d.b}
 }
 
-// Restore implements Subsystem: badState.c is never read back.
+// Restore implements Subsystem: badState.C is never read back.
 func (d *Bad) Restore(s any) {
 	st := s.(badState)
-	d.a = st.a
+	d.a = st.A
 	d.b = st.b
-}
-
-// Export implements Subsystem: only badState.a reaches the blob, and
-// BadExport.Orphan is never populated.
-func (d *Bad) Export() any {
-	st := d.Checkpoint().(badState)
-	return BadExport{A: st.a}
-}
-
-// Import implements Subsystem: only badState.a is re-materialized, and
-// BadExport.Orphan is never consumed.
-func (d *Bad) Import(b any) {
-	e := b.(BadExport)
-	d.Restore(badState{a: e.A})
 }
 
 // Gen implements Subsystem.

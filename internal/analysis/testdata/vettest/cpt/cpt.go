@@ -1,7 +1,7 @@
 // Package cpt fixes the checkpoint-completeness pass: a miniature
 // Subsystem contract, one subsystem that round-trips every field (Good),
-// one that drops fields on every leg (Bad), and a deliberately stateless
-// one (Idle).
+// one that drops fields and leaks one from the portable form (Bad), and a
+// deliberately stateless one (Idle).
 package cpt
 
 import "sync"
@@ -10,31 +10,32 @@ import "sync"
 type Subsystem interface {
 	Checkpoint() any
 	Restore(any)
-	Export() any
-	Import(any)
 	Gen() uint64
 }
 
-// goodState is Good's in-memory checkpoint payload.
+// goodState is Good's checkpoint payload and portable form: exported
+// fields, entries reached through a slice, and one device-local field
+// annotated as such (the binder registry shape).
 type goodState struct {
-	mode  uint64
-	links []string
-}
-
-// GoodExport is Good's portable blob.
-type GoodExport struct {
 	Mode  uint64
-	Links []string
+	Links []goodLink
+	owner *Good //droidvet:checkpoint device-local identity, never leaves its device
 }
 
-// Good round-trips completely: every stateful field is captured, restored,
-// exported, and imported; scratch is annotated ephemeral; mu is sync
-// machinery; sub is its own subsystem.
+// goodLink is one entry of a goodState, reached through its Links slice.
+type goodLink struct {
+	Name string
+	Up   bool
+}
+
+// Good round-trips completely: every stateful field is captured and
+// restored; scratch is annotated ephemeral; mu is sync machinery; sub is
+// its own subsystem.
 type Good struct {
 	mu      sync.Mutex
 	gen     uint64
 	mode    uint64
-	links   []string
+	links   []goodLink
 	scratch []byte //droidvet:checkpoint ephemeral decode scratch, rebuilt on demand
 	sub     *Idle
 }
@@ -43,29 +44,17 @@ type Good struct {
 func (g *Good) Checkpoint() any {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return goodState{mode: g.mode, links: append([]string(nil), g.links...)}
+	return &goodState{Mode: g.mode, Links: append([]goodLink(nil), g.links...), owner: g}
 }
 
 // Restore implements Subsystem.
 func (g *Good) Restore(s any) {
-	st := s.(goodState)
+	st := s.(*goodState)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.mode = st.mode
-	g.links = append([]string(nil), st.links...)
+	g.mode = st.Mode
+	g.links = append([]goodLink(nil), st.Links...)
 	g.gen++
-}
-
-// Export implements Subsystem.
-func (g *Good) Export() any {
-	st := g.Checkpoint().(goodState)
-	return GoodExport{Mode: st.mode, Links: st.links}
-}
-
-// Import implements Subsystem.
-func (g *Good) Import(b any) {
-	e := b.(GoodExport)
-	g.Restore(goodState{mode: e.Mode, links: e.Links})
 }
 
 // Gen implements Subsystem.
@@ -82,12 +71,6 @@ func (i *Idle) Checkpoint() any { return nil }
 
 // Restore implements Subsystem.
 func (i *Idle) Restore(any) {}
-
-// Export implements Subsystem.
-func (i *Idle) Export() any { return nil }
-
-// Import implements Subsystem.
-func (i *Idle) Import(any) {}
 
 // Gen implements Subsystem.
 func (i *Idle) Gen() uint64 { return 0 }

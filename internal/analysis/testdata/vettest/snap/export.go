@@ -1,8 +1,8 @@
 package snap
 
-// Blob is the portable-checkpoint fixture in the shape of the device
-// export blobs (PR 8): exported state that any number of clone twins may
-// import, immutable from the moment the export builder returns. A write
+// Blob is the portable-checkpoint fixture in the shape of a device
+// checkpoint payload: exported state that any number of clone twins
+// may import, immutable from the moment its builder returns. A write
 // through an imported blob would be observed by every sibling twin.
 type Blob struct {
 	Regs []uint64

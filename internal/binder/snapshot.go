@@ -1,22 +1,33 @@
 package binder
 
+import (
+	"encoding/gob"
+	"fmt"
+	"slices"
+)
+
 // ServiceManager checkpoint/restore. Services are registered once at boot
 // and the probing pass is the only SetObserver caller (and it reboots the
 // device when done), so the registry is almost never dirty mid-campaign —
 // the generation check makes its restore free.
 
+// smState is the ServiceManager's checkpoint payload. Service identity
+// cannot cross devices — registered services hold pointers into their own
+// device — so only the sorted descriptor set is portable. A decoded payload
+// arrives with services nil: Validate checks its descriptors against the
+// receiver's own registry, and Restore keeps the receiver's own service
+// instances (rebuilt per twin by the hal.Process subsystems).
 type smState struct {
-	// Service identity cannot cross devices, so the portable round-trip is
-	// descriptor-set only (see SMExport): Export ships the sorted
-	// descriptors, Import verifies them against the receiver's own
-	// registry, and each twin keeps its own rebuilt service instances.
-	//droidvet:checkpoint portable blob carries the descriptor set only
+	Descriptors []string //droidvet:checkpoint derived from services; imports check it in Validate
+	//droidvet:checkpoint device-local: service identity never crosses devices
 	services map[string]Service // shallow: Service identity is the state
 	// Observers are harness wiring, re-armed by the probing pass per
 	// device; an imported twin starts unobserved on purpose.
 	//droidvet:checkpoint observers never cross devices
 	observer Observer
 }
+
+func init() { gob.Register(&smState{}) }
 
 // Checkpoint implements snap.Subsystem.
 func (sm *ServiceManager) Checkpoint() any {
@@ -26,15 +37,21 @@ func (sm *ServiceManager) Checkpoint() any {
 		services: make(map[string]Service, len(sm.services)),
 		observer: sm.observer,
 	}
-	for d, s := range sm.services { //droidvet:nondet order-independent map copy
+	for d, s := range sm.services { //droidvet:nondet collect-then-sort
 		st.services[d] = s
+		st.Descriptors = append(st.Descriptors, d)
 	}
+	slices.Sort(st.Descriptors)
 	return st
 }
 
-// Restore implements snap.Subsystem.
+// Restore implements snap.Subsystem. A decoded payload (no services) leaves
+// the registry as it is: Validate already matched its descriptor set.
 func (sm *ServiceManager) Restore(s any) {
 	st := s.(*smState)
+	if st.services == nil {
+		return
+	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	sm.services = make(map[string]Service, len(st.services))
@@ -44,36 +61,12 @@ func (sm *ServiceManager) Restore(s any) {
 	sm.observer = st.observer
 }
 
-// SMExport is the ServiceManager's portable checkpoint blob. Service
-// identity cannot cross devices — registered services hold pointers into
-// the source device — so the blob carries only the descriptor set, which
-// Import checks against the receiver's own same-model registry.
-type SMExport struct {
-	Descriptors []string // sorted
-}
-
-// Export implements snap.Subsystem.
-func (sm *ServiceManager) Export() any {
-	ds := sm.List()
-	if len(ds) == 0 {
-		ds = nil // canonical: empty exports as nil (gob round-trip shape)
+// Validate implements snap.Validator: a checkpoint must carry exactly this
+// registry's descriptor set.
+func (sm *ServiceManager) Validate(s any) error {
+	st := s.(*smState)
+	if own := sm.List(); !slices.Equal(own, st.Descriptors) {
+		return fmt.Errorf("binder: checkpoint registry of %d services does not match this device's %d", len(st.Descriptors), len(own))
 	}
-	return &SMExport{Descriptors: ds}
-}
-
-// Import implements snap.Subsystem. The receiver keeps its own service
-// instances (they are rebuilt per twin by the hal.Process subsystems);
-// Import only guards against cross-model misuse.
-func (sm *ServiceManager) Import(b any) {
-	e := b.(*SMExport)
-	own := sm.List()
-	if len(own) != len(e.Descriptors) {
-		panic("binder: checkpoint service registry does not match this device model")
-	}
-	for i, d := range own {
-		if d != e.Descriptors[i] {
-			panic("binder: checkpoint service registry does not match this device model")
-		}
-	}
-	sm.Touch()
+	return nil
 }

@@ -4,61 +4,77 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 
 	"droidfuzz/internal/binder"
-	"droidfuzz/internal/drivers"
 	"droidfuzz/internal/ebpf"
-	"droidfuzz/internal/hal"
-	"droidfuzz/internal/kasan"
 	"droidfuzz/internal/snap"
-	"droidfuzz/internal/vkernel"
 )
 
-// Portable checkpoints. A Checkpoint is the gob-serialized, device-
-// independent counterpart of a Snapshot: one exported blob per subsystem
-// in the device's deterministic subsystem order. It can be re-materialized
-// onto any booted device of the same model — locally via ImportCheckpoint
-// or Clone, remotely via the adb Export/ImportCheckpoint RPCs — which is
-// what makes fork-style corpus fan-out and remote cloning possible.
+// Portable checkpoints. A checkpoint is a device snapshot in transit: the
+// Checkpoint payload of every subsystem, in the device's deterministic
+// subsystem order, gob-encoded together with the model ID. Payloads are
+// portable by the snap.Subsystem contract — exported fields, no maps, no
+// pointers into the device — so the bytes can be re-materialized onto any
+// booted device of the same model: locally via ImportCheckpoint or Clone,
+// remotely via the adb Export/ImportCheckpoint RPCs. That is what makes
+// fork-style corpus fan-out and remote cloning possible.
 //
-// Ownership rules: blobs are immutable once exported. Import never aliases
-// blob memory into live state (each subsystem's Import converts the blob
-// back to its checkpoint payload and runs the ordinary copying Restore),
-// so one decoded Checkpoint may be imported into any number of twins.
+// A checkpoint is outside input (it arrives over the adb Import RPC and
+// from other hosts), so an import decodes and validates every payload
+// against the receiver before it restores any: a mismatched checkpoint is
+// an error that leaves the device untouched, never a panic or a partial
+// import. Decoded payloads are immutable like any snapshot payload —
+// Restore copies, never aliases — so one decode may seed any number of
+// twins.
 
 // Checkpoint is the portable form of a device snapshot.
 type Checkpoint struct {
-	Model string
-	Blobs []any
+	Model    string
+	Payloads []any
 }
 
-func init() {
-	// Concrete blob types crossing the []any in Checkpoint. The rpc layer
-	// never sees these — checkpoints travel pre-encoded as []byte.
-	gob.Register(&vkernel.KernelExport{})
-	gob.Register(&kasan.HeapExport{})
-	gob.Register(&drivers.TCPCExport{})
-	gob.Register(&drivers.HCIExport{})
-	gob.Register(&drivers.V4L2Export{})
-	gob.Register(&drivers.AudioExport{})
-	gob.Register(&drivers.GPUExport{})
-	gob.Register(&drivers.WLANExport{})
-	gob.Register(&drivers.SensorExport{})
-	gob.Register(&drivers.NFCExport{})
-	gob.Register(&drivers.ThermalExport{})
-	gob.Register(&drivers.TouchExport{})
-	gob.Register(&drivers.KnobsExport{})
-	gob.Register(&hal.ProcExport{})
-	gob.Register(&binder.SMExport{})
-}
-
-// exportBlobs exports every subsystem in order.
-func (d *Device) exportBlobs() []any {
-	blobs := make([]any, len(d.subs))
+// encodeCheckpoint captures every subsystem's payload in order and
+// gob-encodes them.
+func (d *Device) encodeCheckpoint() ([]byte, error) {
+	payloads := make([]any, len(d.subs))
 	for i, sub := range d.subs {
-		blobs[i] = sub.Export()
+		payloads[i] = sub.Checkpoint()
 	}
-	return blobs
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&Checkpoint{Model: d.Model.ID, Payloads: payloads}); err != nil {
+		return nil, fmt.Errorf("device: encode checkpoint: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeCheckpoint decodes a checkpoint meant for this device and checks
+// every payload against it: the model and subsystem count, each payload's
+// type against the device's own snapshot payload, and whatever a
+// snap.Validator subsystem requires beyond its type.
+func (d *Device) decodeCheckpoint(data []byte) ([]any, error) {
+	var ck Checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
+		return nil, fmt.Errorf("device: decode checkpoint: %w", err)
+	}
+	if ck.Model != d.Model.ID {
+		return nil, fmt.Errorf("device: checkpoint is for model %s, this device is %s", ck.Model, d.Model.ID)
+	}
+	if len(ck.Payloads) != len(d.subs) {
+		return nil, fmt.Errorf("device: checkpoint has %d subsystems, device has %d", len(ck.Payloads), len(d.subs))
+	}
+	for i, sub := range d.subs {
+		p, want := ck.Payloads[i], d.snap.entries[i].state
+		if reflect.TypeOf(p) != reflect.TypeOf(want) {
+			return nil, fmt.Errorf("device: checkpoint subsystem %d holds %T, %T takes %T", i, p, sub, want)
+		}
+		if v, ok := sub.(snap.Validator); ok {
+			if err := v.Validate(p); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return ck.Payloads, nil
 }
 
 // ExportCheckpoint serializes the device's current state into a portable
@@ -66,12 +82,10 @@ func (d *Device) exportBlobs() []any {
 // remembered so an immediate self-import (the lineage scheduler's
 // post-prefix fork point) can skip the decode — see ImportCheckpoint.
 func (d *Device) ExportCheckpoint() ([]byte, error) {
-	ck := &Checkpoint{Model: d.Model.ID, Blobs: d.exportBlobs()}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
-		return nil, fmt.Errorf("device: encode checkpoint: %w", err)
+	data, err := d.encodeCheckpoint()
+	if err != nil {
+		return nil, err
 	}
-	data := buf.Bytes()
 	d.exportBlob = data
 	if d.exportGens = d.exportGens[:0]; cap(d.exportGens) < len(d.subs) {
 		d.exportGens = make([]uint64, 0, len(d.subs))
@@ -124,17 +138,14 @@ func (d *Device) ImportCheckpoint(data []byte) error {
 			return nil
 		}
 	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
-		return fmt.Errorf("device: decode checkpoint: %w", err)
+	payloads, err := d.decodeCheckpoint(data)
+	if err != nil {
+		return err
 	}
-	if ck.Model != d.Model.ID {
-		return fmt.Errorf("device: checkpoint is for model %s, this device is %s", ck.Model, d.Model.ID)
-	}
-	if len(ck.Blobs) != len(d.subs) {
-		return fmt.Errorf("device: checkpoint has %d subsystems, device has %d", len(ck.Blobs), len(d.subs))
-	}
-	d.importBlobs(ck.Blobs)
+	restorePayloads(d.subs, payloads)
+	d.snap = captureSnapshot(d.subs)
+	d.snapPristine = false
+	verifyImport(d, payloads)
 	d.cacheSnap(data, d.snap)
 	return nil
 }
@@ -172,15 +183,18 @@ func gensMatch(subs []snap.Subsystem, gens []uint64) bool {
 	return true
 }
 
-// importBlobs applies one blob per subsystem and recaptures the snapshot
-// so the imported state is what Restore winds back to.
-func (d *Device) importBlobs(blobs []any) {
-	for i, sub := range d.subs {
-		sub.Import(blobs[i])
+// restorePayloads restores one decoded payload per subsystem and marks
+// each restored subsystem dirty: its state changed without passing its own
+// touch points, and no earlier snapshot or export may still match its
+// generation. The framework and eBPF hub are stateless and have no
+// generation to bump.
+func restorePayloads(subs []snap.Subsystem, payloads []any) {
+	for i, sub := range subs {
+		sub.Restore(payloads[i])
+		if t, ok := sub.(interface{ Touch() }); ok {
+			t.Touch()
+		}
 	}
-	d.snap = captureSnapshot(d.subs)
-	d.snapPristine = false
-	verifyImport(d, blobs)
 }
 
 // Clone stamps out n twins of this device in its *current* state,
@@ -215,26 +229,34 @@ func (d *Device) Clone(n int) []*Device {
 		}
 		return twins
 	}
-	blobs := d.exportBlobs()
+	// The source's payloads go through the same encode and decode as a
+	// remote checkpoint: that strips the device-local binder registry, and
+	// the one decoded set seeds every twin.
+	data, err := d.encodeCheckpoint()
+	if err != nil {
+		panic(err)
+	}
+	payloads, err := d.decodeCheckpoint(data)
+	if err != nil {
+		panic(err)
+	}
 	twins := make([]*Device, n)
 	var shared *Snapshot
 	for i := range twins {
 		t := &Device{Model: d.Model, Hub: ebpf.NewHub()}
 		t.bootTree()
-		for j, sub := range t.subs {
-			sub.Import(blobs[j])
-		}
+		restorePayloads(t.subs, payloads)
 		if i == 0 {
 			shared = captureSnapshot(t.subs)
 			t.snap = shared
 		} else {
-			// Twins imported identical blobs, so twin 0's captured
+			// Twins restored identical payloads, so twin 0's captured
 			// payloads describe every twin's state; only the subsystem
 			// pointers and generation bookkeeping are per-twin.
 			t.snap = rebindSnapshot(shared, t.subs)
 		}
 		t.snapPristine = false
-		verifyImport(t, blobs)
+		verifyImport(t, payloads)
 		twins[i] = t
 	}
 	return twins

@@ -2,8 +2,17 @@ package device
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
+
+	"droidfuzz/internal/binder"
+	"droidfuzz/internal/drivers"
+	"droidfuzz/internal/kasan"
+	"droidfuzz/internal/vkernel"
 )
 
 // TestCloneTwinsMatchBootedDevices is the twin-clone equivalence property
@@ -75,43 +84,207 @@ func TestCloneOfDirtiedSourceForksItsState(t *testing.T) {
 }
 
 // TestExportImportRoundTrip cross-verifies checkpoint portability at the
-// blob level: importing an exported checkpoint and re-exporting must
-// reproduce the source bytes exactly. (Sanitize builds additionally
-// cross-check every subsystem blob by deep comparison inside the import
+// blob level for every model: importing an exported checkpoint and
+// re-exporting must reproduce the source bytes exactly, and two exports of
+// one state are byte-identical. The state is dirtied until every keyed
+// collection a payload flattens into a sorted slice holds several entries,
+// so the canonical ordering is exercised. (Sanitize builds additionally
+// cross-check every subsystem payload by deep comparison inside the import
 // itself — see verifyImport.)
 func TestExportImportRoundTrip(t *testing.T) {
-	m, _ := ModelByID("A2")
-	src := New(m)
-	applyOps(src, 11, 150)
-	blob, err := src.ExportCheckpoint()
-	if err != nil {
-		t.Fatalf("export: %v", err)
+	// The payload slice each keyed collection is flattened into.
+	collections := map[reflect.Type]string{
+		reflect.TypeOf(&drivers.HCIDriver{}):  "Conns",
+		reflect.TypeOf(&drivers.GPUDriver{}):  "Buffers",
+		reflect.TypeOf(&drivers.V4L2Driver{}): "Ctrls",
+		reflect.TypeOf(&kasan.Heap{}):         "Objects",
 	}
-	dst := New(m)
-	if err := dst.ImportCheckpoint(blob); err != nil {
-		t.Fatalf("import: %v", err)
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			m, _ := ModelByID(id)
+			src := New(m)
+			dirtyCollections(t, src)
+			applyOps(src, 11, 150)
+			checked := 0
+			for _, sub := range src.subs {
+				field, ok := collections[reflect.TypeOf(sub)]
+				if !ok {
+					continue
+				}
+				checked++
+				if n := reflect.ValueOf(sub.Checkpoint()).Elem().FieldByName(field).Len(); n < 2 {
+					t.Errorf("%T payload %s has %d entries, want >= 2", sub, field, n)
+				}
+			}
+			want := 1 // the heap
+			for _, fam := range []string{FamHCI, FamGPU, FamV4L2} {
+				if slices.Contains(m.Drivers, fam) {
+					want++
+				}
+			}
+			if checked != want {
+				t.Errorf("checked %d keyed collections, model has %d", checked, want)
+			}
+
+			blob, err := src.ExportCheckpoint()
+			if err != nil {
+				t.Fatalf("export: %v", err)
+			}
+			again, err := src.ExportCheckpoint()
+			if err != nil {
+				t.Fatalf("second export: %v", err)
+			}
+			if !bytes.Equal(blob, again) {
+				t.Fatalf("two exports of one state differ: %d vs %d bytes", len(blob), len(again))
+			}
+			dst := New(m)
+			if err := dst.ImportCheckpoint(blob); err != nil {
+				t.Fatalf("import: %v", err)
+			}
+			back, err := dst.ExportCheckpoint()
+			if err != nil {
+				t.Fatalf("re-export: %v", err)
+			}
+			if !bytes.Equal(blob, back) {
+				t.Fatalf("round trip distorted the checkpoint: %d vs %d bytes", len(blob), len(back))
+			}
+		})
 	}
-	back, err := dst.ExportCheckpoint()
-	if err != nil {
-		t.Fatalf("re-export: %v", err)
+}
+
+// dirtyCollections opens HCI connections, allocates GPU buffers and sets
+// V4L2 controls — three entries each, and heap objects behind the first
+// two — on whichever of those drivers the model has.
+func dirtyCollections(t testing.TB, d *Device) {
+	t.Helper()
+	u64s := func(vs ...uint64) []byte {
+		b := make([]byte, 8*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(b[8*i:], v)
+		}
+		return b
 	}
-	if !bytes.Equal(blob, back) {
-		t.Fatalf("round trip distorted the checkpoint: %d vs %d bytes", len(blob), len(back))
+	fds := make(map[string]int)
+	for _, op := range []struct {
+		path string
+		req  uint64
+		arg  []byte
+	}{
+		{drivers.PathHCI, drivers.HCIUp, nil},
+		{drivers.PathHCI, drivers.HCICreateConn, u64s(0xb1)},
+		{drivers.PathHCI, drivers.HCICreateConn, u64s(0xb2)},
+		{drivers.PathHCI, drivers.HCICreateConn, u64s(0xb3)},
+		{drivers.PathGPU, drivers.GPUAlloc, u64s(4096)},
+		{drivers.PathGPU, drivers.GPUAlloc, u64s(8192)},
+		{drivers.PathGPU, drivers.GPUAlloc, u64s(512)},
+		{drivers.PathVideo, drivers.VidiocSCtrl, u64s(13, 90)},
+		{drivers.PathVideo, drivers.VidiocSCtrl, u64s(2, 7)},
+		{drivers.PathVideo, drivers.VidiocSCtrl, u64s(40, 1)},
+	} {
+		if !slices.Contains(d.K.DevicePaths(), op.path) {
+			continue
+		}
+		fd, ok := fds[op.path]
+		if !ok {
+			var err error
+			if fd, err = d.K.Open(NativePID, vkernel.OriginNative, op.path, 0); err != nil {
+				t.Fatalf("open %s: %v", op.path, err)
+			}
+			fds[op.path] = fd
+		}
+		if _, _, err := d.K.Ioctl(NativePID, vkernel.OriginNative, fd, op.req, op.arg); err != nil {
+			t.Fatalf("ioctl %s %#x: %v", op.path, op.req, err)
+		}
 	}
 }
 
 // TestImportRejectsModelMismatch: a checkpoint is device-independent but
 // not model-independent — importing onto a different model must fail
-// loudly rather than stamp mismatched driver state.
+// loudly rather than stamp mismatched driver state. The same holds for a
+// well-formed checkpoint whose payloads do not fit the receiver: swapped
+// subsystems, a knob payload of the wrong slot count or family, a heap
+// object whose data does not span its size, a foreign service registry. Checkpoints are outside input, so each must be an
+// error returned before anything is restored, leaving the device exactly
+// as it was.
 func TestImportRejectsModelMismatch(t *testing.T) {
-	a, _ := ModelByID("A1")
+	a1, _ := ModelByID("A1")
 	b, _ := ModelByID("B")
-	blob, err := New(a).ExportCheckpoint()
-	if err != nil {
-		t.Fatal(err)
+	// index returns the positions of the device's subsystems of type typ.
+	index := func(d *Device, typ reflect.Type) []int {
+		var out []int
+		for i, sub := range d.subs {
+			if reflect.TypeOf(sub) == typ {
+				out = append(out, i)
+			}
+		}
+		return out
 	}
-	if err := New(b).ImportCheckpoint(blob); err == nil {
-		t.Fatal("import of A1 checkpoint into B succeeded")
+	knobs := reflect.TypeOf(&drivers.Knobs{})
+	for _, tc := range []struct {
+		name   string
+		dst    Model
+		mangle func(src *Device, payloads []any)
+	}{
+		{"other-model", b, nil},
+		{"swapped-kernel-heap", a1, func(_ *Device, p []any) {
+			p[0], p[1] = p[1], p[0]
+		}},
+		{"knob-slot-count", a1, func(src *Device, p []any) {
+			ints := reflect.ValueOf(p[index(src, knobs)[0]]).Elem().FieldByName("Ints")
+			ints.Set(ints.Slice(0, ints.Len()-1))
+		}},
+		{"knob-family", a1, func(src *Device, p []any) {
+			ks := index(src, knobs)
+			p[ks[0]], p[ks[1]] = p[ks[1]], p[ks[0]]
+		}},
+		{"heap-object-size", a1, func(src *Device, p []any) {
+			obj := reflect.ValueOf(p[1]).Elem().FieldByName("Objects").Index(0)
+			obj.FieldByName("Size").SetInt(obj.FieldByName("Size").Int() + 1)
+		}},
+		{"foreign-descriptors", a1, func(src *Device, p []any) {
+			sm := index(src, reflect.TypeOf(&binder.ServiceManager{}))[0]
+			ds := reflect.ValueOf(p[sm]).Elem().FieldByName("Descriptors")
+			ds.Set(reflect.Append(ds, reflect.ValueOf("vendor.foreign.IFoo/default")))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := New(a1)
+			dirtyCollections(t, src)
+			applyOps(src, 3, 150)
+			blob, err := src.ExportCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.mangle != nil {
+				var ck Checkpoint
+				if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&ck); err != nil {
+					t.Fatal(err)
+				}
+				tc.mangle(src, ck.Payloads)
+				var buf bytes.Buffer
+				if err := gob.NewEncoder(&buf).Encode(&ck); err != nil {
+					t.Fatal(err)
+				}
+				blob = buf.Bytes()
+			}
+
+			dst := New(tc.dst)
+			applyOps(dst, 5, 100)
+			before, err := dst.ExportCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.ImportCheckpoint(blob); err == nil {
+				t.Fatal("mismatched checkpoint imported without error")
+			}
+			after, err := dst.ExportCheckpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("rejected import changed the device state")
+			}
+		})
 	}
 }
 

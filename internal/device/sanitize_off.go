@@ -11,5 +11,5 @@ const SanitizeEnabled = false
 func verifyRestore(*Device) {}
 
 // verifyImport is a no-op in normal builds. Build with -tags
-// droidfuzz_sanitize to cross-check every checkpoint import by re-export.
+// droidfuzz_sanitize to cross-check every checkpoint import by re-checkpoint.
 func verifyImport(*Device, []any) {}

@@ -71,16 +71,25 @@ func verifyRestore(d *Device) {
 }
 
 // verifyImport cross-checks checkpoint-import fidelity: after importing,
-// re-exporting every subsystem must reproduce the source blobs exactly.
-// A mismatch means an Export/Import pair drops or distorts state — the
-// round trip is the invariant that makes clone twins equivalent to the
-// source device.
-func verifyImport(d *Device, blobs []any) {
+// re-checkpointing every subsystem and passing the payloads through the
+// same encode and decode must reproduce the imported payloads exactly. A
+// mismatch means a payload drops or distorts state on the way — an
+// unexported field gob skips, or a Restore that does not read back what
+// Checkpoint wrote — and the round trip is the invariant that makes clone
+// twins equivalent to the source device.
+func verifyImport(d *Device, payloads []any) {
+	data, err := d.encodeCheckpoint()
+	if err != nil {
+		panic(fmt.Sprintf("droidfuzz_sanitize: re-export after import: %v", err))
+	}
+	back, err := d.decodeCheckpoint(data)
+	if err != nil {
+		panic(fmt.Sprintf("droidfuzz_sanitize: re-import after import: %v", err))
+	}
 	for i, sub := range d.subs {
-		got := sub.Export()
-		if !reflect.DeepEqual(got, blobs[i]) {
-			panic(fmt.Sprintf("droidfuzz_sanitize: subsystem %d (%T) re-export %#v != imported blob %#v",
-				i, sub, got, blobs[i]))
+		if !reflect.DeepEqual(back[i], payloads[i]) {
+			panic(fmt.Sprintf("droidfuzz_sanitize: subsystem %d (%T) re-checkpoint %#v != imported payload %#v",
+				i, sub, back[i], payloads[i]))
 		}
 	}
 }

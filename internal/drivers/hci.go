@@ -46,12 +46,14 @@ const (
 	hciConnClosed
 )
 
+// hciConnection is one ACL connection. Its fields are exported because
+// hciState carries connections by value in the portable checkpoint.
 type hciConnection struct {
-	handle uint64
-	peer   uint64
-	ssp    bool // created with secure-simple-pairing (vendor flag 0x20)
-	state  hciConnState
-	obj    uint64 // KASAN heap object backing the connection
+	Handle uint64
+	Peer   uint64
+	SSP    bool // created with secure-simple-pairing (vendor flag 0x20)
+	State  hciConnState
+	Obj    uint64 // KASAN heap object backing the connection
 }
 
 // HCIDriver is the Bluetooth controller driver. The supported-codecs table
@@ -164,8 +166,8 @@ func (c *hciConn) Ioctl(ctx *vkernel.Ctx, req uint64, arg []byte) (uint64, []byt
 		slices.Sort(handles)
 		for _, h := range handles {
 			conn := d.conns[h]
-			if conn.state != hciConnClosed {
-				ctx.Heap().Free(conn.obj, "hci_reset_teardown")
+			if conn.State != hciConnClosed {
+				ctx.Heap().Free(conn.Obj, "hci_reset_teardown")
 			}
 			delete(d.conns, h)
 		}
@@ -229,13 +231,13 @@ func (c *hciConn) Ioctl(ctx *vkernel.Ctx, req uint64, arg []byte) (uint64, []byt
 		h := d.nextHandle
 		d.nextHandle++
 		conn := &hciConnection{
-			handle: h,
-			peer:   peer,
-			ssp:    connFlags&HCIConnSSP != 0,
-			state:  hciConnPending,
-			obj:    ctx.Heap().Alloc(64, "bt_conn_alloc"),
+			Handle: h,
+			Peer:   peer,
+			SSP:    connFlags&HCIConnSSP != 0,
+			State:  hciConnPending,
+			Obj:    ctx.Heap().Alloc(64, "bt_conn_alloc"),
 		}
-		if conn.ssp {
+		if conn.SSP {
 			ctx.Cover("hci", 70) // secure-pairing setup path
 		}
 		d.conns[h] = conn
@@ -260,14 +262,14 @@ func (c *hciConn) Ioctl(ctx *vkernel.Ctx, req uint64, arg []byte) (uint64, []byt
 		// bt_accept_unlink reads the connection object while unlinking it
 		// from the accept queue. If the connection was disconnected while
 		// still queued (bug №11), the object is already freed: UAF read.
-		data, ok := ctx.CheckLoad(conn.obj, 0, 8, "bt_accept_unlink")
+		data, ok := ctx.CheckLoad(conn.Obj, 0, 8, "bt_accept_unlink")
 		if !ok {
 			d.acceptQ = d.acceptQ[1:]
 			return 0, nil, vkernel.EIO
 		}
 		_ = data
 		d.acceptQ = d.acceptQ[1:]
-		conn.state = hciConnAccepted
+		conn.State = hciConnAccepted
 		ctx.Cover("hci", 83)
 		return h, nil, nil
 
@@ -275,15 +277,15 @@ func (c *hciConn) Ioctl(ctx *vkernel.Ctx, req uint64, arg []byte) (uint64, []byt
 		ctx.Cover("hci", 90)
 		h := ArgU64(arg, 0)
 		conn := d.conns[h]
-		if conn == nil || conn.state == hciConnClosed {
+		if conn == nil || conn.State == hciConnClosed {
 			ctx.Cover("hci", 91)
 			return 0, nil, vkernel.ENOENT
 		}
-		conn.state = hciConnClosed
-		if !ctx.CheckFree(conn.obj, "hci_conn_del") {
+		conn.State = hciConnClosed
+		if !ctx.CheckFree(conn.Obj, "hci_conn_del") {
 			return 0, nil, vkernel.EIO
 		}
-		if !d.bugs.Has(bugs.BTAcceptUnlink) || !conn.ssp {
+		if !d.bugs.Has(bugs.BTAcceptUnlink) || !conn.SSP {
 			// Correct kernels unlink the connection from the accept
 			// queue before freeing; the buggy vendor tree forgets to on
 			// its secure-simple-pairing teardown path.
@@ -369,7 +371,7 @@ func (c *hciConn) Write(ctx *vkernel.Ctx, p []byte) (int, error) {
 	// Pure count over the map; the total is the same in any iteration
 	// order, so replay cannot diverge here.
 	for _, conn := range d.conns { //droidvet:nondet order-independent count
-		if conn.state == hciConnAccepted {
+		if conn.State == hciConnAccepted {
 			live++
 		}
 	}

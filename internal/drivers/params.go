@@ -1,6 +1,7 @@
 package drivers
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -179,23 +180,28 @@ func (ks *Knobs) store(ctx *vkernel.Ctx, idx int, val string) error {
 	return nil
 }
 
-// knobsState is the immutable checkpoint of a Knobs instance.
+// knobsState is the immutable checkpoint of a Knobs instance. Slots are
+// positional: spec tables are model-independent per family, so index i
+// means the same knob on every same-model twin. Family names the owner so
+// an import can reject a payload landing on another family's knobs.
 type knobsState struct {
-	ints []uint64
-	strs []string
+	Family string //droidvet:checkpoint identity check for imports, fixed at construction
+	Ints   []uint64
+	Strs   []string
 }
 
 // Checkpoint implements snap.Subsystem.
 func (ks *Knobs) Checkpoint() any {
 	st := &knobsState{
-		ints: make([]uint64, len(ks.specs)),
-		strs: make([]string, len(ks.specs)),
+		Family: ks.family,
+		Ints:   make([]uint64, len(ks.specs)),
+		Strs:   make([]string, len(ks.specs)),
 	}
 	for i := range ks.specs {
 		if ks.specs[i].Kind == KnobString {
-			st.strs[i] = *ks.strs[i].Load()
+			st.Strs[i] = *ks.strs[i].Load()
 		} else {
-			st.ints[i] = ks.ints[i].Load()
+			st.Ints[i] = ks.ints[i].Load()
 		}
 	}
 	return st
@@ -206,12 +212,26 @@ func (ks *Knobs) Restore(state any) {
 	st := state.(*knobsState)
 	for i := range ks.specs {
 		if ks.specs[i].Kind == KnobString {
-			s := st.strs[i]
+			s := st.Strs[i]
 			ks.strs[i].Store(&s)
 		} else {
-			ks.ints[i].Store(st.ints[i])
+			ks.ints[i].Store(st.Ints[i])
 		}
 	}
+}
+
+// Validate implements snap.Validator: the payload must belong to this
+// driver family and carry one slot per knob.
+func (ks *Knobs) Validate(state any) error {
+	st := state.(*knobsState)
+	if st.Family != ks.family {
+		return fmt.Errorf("drivers: checkpoint knobs of family %q landed on %q", st.Family, ks.family)
+	}
+	if len(st.Ints) != len(ks.specs) || len(st.Strs) != len(ks.specs) {
+		return fmt.Errorf("drivers: checkpoint %s knobs have %d/%d slots, want %d",
+			ks.family, len(st.Ints), len(st.Strs), len(ks.specs))
+	}
+	return nil
 }
 
 // Descs returns the DSL call descriptions of the writable knobs: one

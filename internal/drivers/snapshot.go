@@ -1,5 +1,11 @@
 package drivers
 
+import (
+	"cmp"
+	"encoding/gob"
+	"slices"
+)
+
 // Per-driver checkpoint/restore for device snapshots. Each driver embeds
 // snap.Dirty (the kernel bumps it centrally on open and on every fd op
 // reaching the driver) and implements snap.Subsystem here: Checkpoint
@@ -7,19 +13,37 @@ package drivers
 // back. The state types below are registered with droidvet's snapshot
 // pass, so any mutation of a captured state outside these methods is
 // flagged — the snapshot must stay reusable across many restores.
+//
+// The same values are the portable checkpoint: exported fields only, maps
+// as slices sorted by key, empty collections as nil — so a gob round trip
+// reproduces them exactly and the encoding is deterministic.
+
+func init() {
+	gob.Register(&tcpcState{})
+	gob.Register(&hciState{})
+	gob.Register(&v4l2State{})
+	gob.Register(&audioState{})
+	gob.Register(&gpuState{})
+	gob.Register(&wlanState{})
+	gob.Register(&sensorState{})
+	gob.Register(&nfcState{})
+	gob.Register(&thermalState{})
+	gob.Register(&touchState{})
+	gob.Register(&knobsState{})
+}
 
 // --- TCPC ---
 
 type tcpcState struct {
-	mode      uint64
-	voltageMV uint64
-	toggling  bool
-	attached  bool
-	alertMask uint64
-	vbusOn    bool
-	probed    bool
-	i2cRegs   [256]byte
-	opens     int
+	Mode      uint64
+	VoltageMV uint64
+	Toggling  bool
+	Attached  bool
+	AlertMask uint64
+	VbusOn    bool
+	Probed    bool
+	I2CRegs   [256]byte
+	Opens     int
 }
 
 // Checkpoint implements snap.Subsystem.
@@ -27,9 +51,9 @@ func (d *TCPCDriver) Checkpoint() any {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return &tcpcState{
-		mode: d.mode, voltageMV: d.voltageMV, toggling: d.toggling,
-		attached: d.attached, alertMask: d.alertMask, vbusOn: d.vbusOn,
-		probed: d.probed, i2cRegs: d.i2cRegs, opens: d.opens,
+		Mode: d.mode, VoltageMV: d.voltageMV, Toggling: d.toggling,
+		Attached: d.attached, AlertMask: d.alertMask, VbusOn: d.vbusOn,
+		Probed: d.probed, I2CRegs: d.i2cRegs, Opens: d.opens,
 	}
 }
 
@@ -38,26 +62,26 @@ func (d *TCPCDriver) Restore(s any) {
 	st := s.(*tcpcState)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.mode, d.voltageMV = st.mode, st.voltageMV
-	d.toggling, d.attached = st.toggling, st.attached
-	d.alertMask = st.alertMask
-	d.vbusOn, d.probed = st.vbusOn, st.probed
-	d.i2cRegs = st.i2cRegs
-	d.opens = st.opens
+	d.mode, d.voltageMV = st.Mode, st.VoltageMV
+	d.toggling, d.attached = st.Toggling, st.Attached
+	d.alertMask = st.AlertMask
+	d.vbusOn, d.probed = st.VbusOn, st.Probed
+	d.i2cRegs = st.I2CRegs
+	d.opens = st.Opens
 }
 
 // --- HCI ---
 
 type hciState struct {
-	up         bool
-	scanMode   uint64
-	inquiring  bool
-	codecTable uint64
-	codecStale bool
-	conns      map[uint64]hciConnection // by value: connections deep-copied
-	acceptQ    []uint64
-	nextHandle uint64
-	name       string
+	Up         bool
+	ScanMode   uint64
+	Inquiring  bool
+	CodecTable uint64
+	CodecStale bool
+	Conns      []hciConnection // by value, sorted by handle
+	AcceptQ    []uint64
+	NextHandle uint64
+	Name       string
 }
 
 // Checkpoint implements snap.Subsystem.
@@ -65,17 +89,19 @@ func (d *HCIDriver) Checkpoint() any {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := &hciState{
-		up: d.up, scanMode: d.scanMode, inquiring: d.inquiring,
-		codecTable: d.codecTable, codecStale: d.codecStale,
-		conns:      make(map[uint64]hciConnection, len(d.conns)),
-		nextHandle: d.nextHandle, name: d.name,
+		Up: d.up, ScanMode: d.scanMode, Inquiring: d.inquiring,
+		CodecTable: d.codecTable, CodecStale: d.codecStale,
+		NextHandle: d.nextHandle, Name: d.name,
 	}
-	for h, conn := range d.conns { //droidvet:nondet order-independent map copy
-		st.conns[h] = *conn
+	if len(d.conns) > 0 {
+		st.Conns = make([]hciConnection, 0, len(d.conns))
+		for _, conn := range d.conns { //droidvet:nondet collect-then-sort
+			st.Conns = append(st.Conns, *conn)
+		}
+		slices.SortFunc(st.Conns, func(a, b hciConnection) int { return cmp.Compare(a.Handle, b.Handle) })
 	}
-	if d.acceptQ != nil {
-		st.acceptQ = make([]uint64, len(d.acceptQ))
-		copy(st.acceptQ, d.acceptQ)
+	if len(d.acceptQ) > 0 {
+		st.AcceptQ = slices.Clone(d.acceptQ)
 	}
 	return st
 }
@@ -85,20 +111,16 @@ func (d *HCIDriver) Restore(s any) {
 	st := s.(*hciState)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.up, d.scanMode, d.inquiring = st.up, st.scanMode, st.inquiring
-	d.codecTable, d.codecStale = st.codecTable, st.codecStale
-	d.conns = make(map[uint64]*hciConnection, len(st.conns))
-	for h, conn := range st.conns { //droidvet:nondet order-independent map copy
+	d.up, d.scanMode, d.inquiring = st.Up, st.ScanMode, st.Inquiring
+	d.codecTable, d.codecStale = st.CodecTable, st.CodecStale
+	d.conns = make(map[uint64]*hciConnection, len(st.Conns))
+	for _, conn := range st.Conns {
 		cc := conn
-		d.conns[h] = &cc
+		d.conns[cc.Handle] = &cc
 	}
-	d.acceptQ = nil
-	if st.acceptQ != nil {
-		d.acceptQ = make([]uint64, len(st.acceptQ))
-		copy(d.acceptQ, st.acceptQ)
-	}
-	d.nextHandle = st.nextHandle
-	d.name = st.name
+	d.acceptQ = slices.Clone(st.AcceptQ)
+	d.nextHandle = st.NextHandle
+	d.name = st.Name
 }
 
 // --- L2CAP ---
@@ -116,14 +138,20 @@ func (d *L2CAPDriver) Restore(any) {}
 // --- V4L2 ---
 
 type v4l2State struct {
-	width     uint64
-	height    uint64
-	pixfmt    uint64
-	nbufs     uint64
-	queued    []uint64
-	streaming bool
-	frames    uint64
-	ctrls     map[uint64]uint64
+	Width     uint64
+	Height    uint64
+	Pixfmt    uint64
+	NBufs     uint64
+	Queued    []uint64
+	Streaming bool
+	Frames    uint64
+	Ctrls     []v4l2Ctrl // sorted by ID
+}
+
+// v4l2Ctrl is one control value in a v4l2State.
+type v4l2Ctrl struct {
+	ID  uint64
+	Val uint64
 }
 
 // Checkpoint implements snap.Subsystem.
@@ -131,16 +159,18 @@ func (d *V4L2Driver) Checkpoint() any {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := &v4l2State{
-		width: d.width, height: d.height, pixfmt: d.pixfmt, nbufs: d.nbufs,
-		streaming: d.streaming, frames: d.frames,
-		ctrls: make(map[uint64]uint64, len(d.ctrls)),
+		Width: d.width, Height: d.height, Pixfmt: d.pixfmt, NBufs: d.nbufs,
+		Streaming: d.streaming, Frames: d.frames,
 	}
-	if d.queued != nil {
-		st.queued = make([]uint64, len(d.queued))
-		copy(st.queued, d.queued)
+	if len(d.queued) > 0 {
+		st.Queued = slices.Clone(d.queued)
 	}
-	for k, v := range d.ctrls { //droidvet:nondet order-independent map copy
-		st.ctrls[k] = v
+	if len(d.ctrls) > 0 {
+		st.Ctrls = make([]v4l2Ctrl, 0, len(d.ctrls))
+		for id, val := range d.ctrls { //droidvet:nondet collect-then-sort
+			st.Ctrls = append(st.Ctrls, v4l2Ctrl{ID: id, Val: val})
+		}
+		slices.SortFunc(st.Ctrls, func(a, b v4l2Ctrl) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	return st
 }
@@ -150,29 +180,25 @@ func (d *V4L2Driver) Restore(s any) {
 	st := s.(*v4l2State)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.width, d.height, d.pixfmt, d.nbufs = st.width, st.height, st.pixfmt, st.nbufs
-	d.streaming, d.frames = st.streaming, st.frames
-	d.queued = nil
-	if st.queued != nil {
-		d.queued = make([]uint64, len(st.queued))
-		copy(d.queued, st.queued)
-	}
-	d.ctrls = make(map[uint64]uint64, len(st.ctrls))
-	for k, v := range st.ctrls { //droidvet:nondet order-independent map copy
-		d.ctrls[k] = v
+	d.width, d.height, d.pixfmt, d.nbufs = st.Width, st.Height, st.Pixfmt, st.NBufs
+	d.streaming, d.frames = st.Streaming, st.Frames
+	d.queued = slices.Clone(st.Queued)
+	d.ctrls = make(map[uint64]uint64, len(st.Ctrls))
+	for _, c := range st.Ctrls {
+		d.ctrls[c.ID] = c.Val
 	}
 }
 
 // --- Audio ---
 
 type audioState struct {
-	state    pcmState
-	rate     uint64
-	channels uint64
-	period   uint64
-	buffered uint64
-	volume   uint64
-	pos      uint64
+	State    pcmState
+	Rate     uint64
+	Channels uint64
+	Period   uint64
+	Buffered uint64
+	Volume   uint64
+	Pos      uint64
 }
 
 // Checkpoint implements snap.Subsystem.
@@ -180,8 +206,8 @@ func (d *AudioDriver) Checkpoint() any {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return &audioState{
-		state: d.state, rate: d.rate, channels: d.channels,
-		period: d.period, buffered: d.buffered, volume: d.volume, pos: d.pos,
+		State: d.state, Rate: d.rate, Channels: d.channels,
+		Period: d.period, Buffered: d.buffered, Volume: d.volume, Pos: d.pos,
 	}
 }
 
@@ -190,20 +216,27 @@ func (d *AudioDriver) Restore(s any) {
 	st := s.(*audioState)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.state, d.rate, d.channels = st.state, st.rate, st.channels
-	d.period, d.buffered, d.volume, d.pos = st.period, st.buffered, st.volume, st.pos
+	d.state, d.rate, d.channels = st.State, st.Rate, st.Channels
+	d.period, d.buffered, d.volume, d.pos = st.Period, st.Buffered, st.Volume, st.Pos
 }
 
 // --- GPU ---
 
 type gpuState struct {
-	buffers  map[uint64]uint64
-	sizes    map[uint64]uint64
-	nextBuf  uint64
-	fence    uint64
-	ctxPrio  uint64
-	submits  uint64
-	mapCount uint64
+	Buffers  []gpuBuffer // sorted by handle
+	NextBuf  uint64
+	Fence    uint64
+	CtxPrio  uint64
+	Submits  uint64
+	MapCount uint64
+}
+
+// gpuBuffer is one buffer object in a gpuState. The driver's buffers and
+// sizes maps share a key space, so one entry carries both values.
+type gpuBuffer struct {
+	Handle uint64
+	Obj    uint64
+	Size   uint64
 }
 
 // Checkpoint implements snap.Subsystem.
@@ -211,16 +244,15 @@ func (d *GPUDriver) Checkpoint() any {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := &gpuState{
-		buffers: make(map[uint64]uint64, len(d.buffers)),
-		sizes:   make(map[uint64]uint64, len(d.sizes)),
-		nextBuf: d.nextBuf, fence: d.fence, ctxPrio: d.ctxPrio,
-		submits: d.submits, mapCount: d.mapCount,
+		NextBuf: d.nextBuf, Fence: d.fence, CtxPrio: d.ctxPrio,
+		Submits: d.submits, MapCount: d.mapCount,
 	}
-	for k, v := range d.buffers { //droidvet:nondet order-independent map copy
-		st.buffers[k] = v
-	}
-	for k, v := range d.sizes { //droidvet:nondet order-independent map copy
-		st.sizes[k] = v
+	if len(d.buffers) > 0 {
+		st.Buffers = make([]gpuBuffer, 0, len(d.buffers))
+		for h, obj := range d.buffers { //droidvet:nondet collect-then-sort
+			st.Buffers = append(st.Buffers, gpuBuffer{Handle: h, Obj: obj, Size: d.sizes[h]})
+		}
+		slices.SortFunc(st.Buffers, func(a, b gpuBuffer) int { return cmp.Compare(a.Handle, b.Handle) })
 	}
 	return st
 }
@@ -230,29 +262,27 @@ func (d *GPUDriver) Restore(s any) {
 	st := s.(*gpuState)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buffers = make(map[uint64]uint64, len(st.buffers))
-	for k, v := range st.buffers { //droidvet:nondet order-independent map copy
-		d.buffers[k] = v
+	d.buffers = make(map[uint64]uint64, len(st.Buffers))
+	d.sizes = make(map[uint64]uint64, len(st.Buffers))
+	for _, b := range st.Buffers {
+		d.buffers[b.Handle] = b.Obj
+		d.sizes[b.Handle] = b.Size
 	}
-	d.sizes = make(map[uint64]uint64, len(st.sizes))
-	for k, v := range st.sizes { //droidvet:nondet order-independent map copy
-		d.sizes[k] = v
-	}
-	d.nextBuf, d.fence, d.ctxPrio = st.nextBuf, st.fence, st.ctxPrio
-	d.submits, d.mapCount = st.submits, st.mapCount
+	d.nextBuf, d.fence, d.ctxPrio = st.NextBuf, st.Fence, st.CtxPrio
+	d.submits, d.mapCount = st.Submits, st.MapCount
 }
 
 // --- WLAN ---
 
 type wlanState struct {
-	scanned  bool
-	assoc    bool
-	wasAssoc bool
-	bssid    uint64
-	rateMask uint64
-	channel  uint64
-	power    uint64
-	txFrames uint64
+	Scanned  bool
+	Assoc    bool
+	WasAssoc bool
+	BSSID    uint64
+	RateMask uint64
+	Channel  uint64
+	Power    uint64
+	TxFrames uint64
 }
 
 // Checkpoint implements snap.Subsystem.
@@ -260,9 +290,9 @@ func (d *WLANDriver) Checkpoint() any {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return &wlanState{
-		scanned: d.scanned, assoc: d.assoc, wasAssoc: d.wasAssoc,
-		bssid: d.bssid, rateMask: d.rateMask, channel: d.channel,
-		power: d.power, txFrames: d.txFrames,
+		Scanned: d.scanned, Assoc: d.assoc, WasAssoc: d.wasAssoc,
+		BSSID: d.bssid, RateMask: d.rateMask, Channel: d.channel,
+		Power: d.power, TxFrames: d.txFrames,
 	}
 }
 
@@ -271,24 +301,24 @@ func (d *WLANDriver) Restore(s any) {
 	st := s.(*wlanState)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.scanned, d.assoc, d.wasAssoc = st.scanned, st.assoc, st.wasAssoc
-	d.bssid, d.rateMask, d.channel = st.bssid, st.rateMask, st.channel
-	d.power, d.txFrames = st.power, st.txFrames
+	d.scanned, d.assoc, d.wasAssoc = st.Scanned, st.Assoc, st.WasAssoc
+	d.bssid, d.rateMask, d.channel = st.BSSID, st.RateMask, st.Channel
+	d.power, d.txFrames = st.Power, st.TxFrames
 }
 
 // --- Sensor hub ---
 
 type sensorState struct {
-	enabled  [8]bool
-	freq     uint64
-	triggers uint64
+	Enabled  [8]bool
+	Freq     uint64
+	Triggers uint64
 }
 
 // Checkpoint implements snap.Subsystem.
 func (d *SensorDriver) Checkpoint() any {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return &sensorState{enabled: d.enabled, freq: d.freq, triggers: d.triggers}
+	return &sensorState{Enabled: d.enabled, Freq: d.freq, Triggers: d.triggers}
 }
 
 // Restore implements snap.Subsystem.
@@ -296,21 +326,21 @@ func (d *SensorDriver) Restore(s any) {
 	st := s.(*sensorState)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.enabled, d.freq, d.triggers = st.enabled, st.freq, st.triggers
+	d.enabled, d.freq, d.triggers = st.Enabled, st.Freq, st.Triggers
 }
 
 // --- NFC ---
 
 type nfcState struct {
-	powered bool
-	fwLen   uint64
+	Powered bool
+	FwLen   uint64
 }
 
 // Checkpoint implements snap.Subsystem.
 func (d *NFCDriver) Checkpoint() any {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return &nfcState{powered: d.powered, fwLen: d.fwLen}
+	return &nfcState{Powered: d.powered, FwLen: d.fwLen}
 }
 
 // Restore implements snap.Subsystem.
@@ -318,21 +348,21 @@ func (d *NFCDriver) Restore(s any) {
 	st := s.(*nfcState)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.powered, d.fwLen = st.powered, st.fwLen
+	d.powered, d.fwLen = st.Powered, st.FwLen
 }
 
 // --- Thermal ---
 
 type thermalState struct {
-	trips  [4]uint64
-	policy uint64
+	Trips  [4]uint64
+	Policy uint64
 }
 
 // Checkpoint implements snap.Subsystem.
 func (d *ThermalDriver) Checkpoint() any {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return &thermalState{trips: d.trips, policy: d.policy}
+	return &thermalState{Trips: d.trips, Policy: d.policy}
 }
 
 // Restore implements snap.Subsystem.
@@ -340,19 +370,19 @@ func (d *ThermalDriver) Restore(s any) {
 	st := s.(*thermalState)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.trips, d.policy = st.trips, st.policy
+	d.trips, d.policy = st.Trips, st.Policy
 }
 
 // --- Touch ---
 
 type touchState struct {
-	calibrated bool
-	mode       uint64
-	gridW      uint64
-	gridH      uint64
-	fwVersion  uint64
-	events     uint64
-	selfTests  uint64
+	Calibrated bool
+	Mode       uint64
+	GridW      uint64
+	GridH      uint64
+	FwVersion  uint64
+	Events     uint64
+	SelfTests  uint64
 }
 
 // Checkpoint implements snap.Subsystem.
@@ -360,8 +390,8 @@ func (d *TouchDriver) Checkpoint() any {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return &touchState{
-		calibrated: d.calibrated, mode: d.mode, gridW: d.gridW, gridH: d.gridH,
-		fwVersion: d.fwVersion, events: d.events, selfTests: d.selfTests,
+		Calibrated: d.calibrated, Mode: d.mode, GridW: d.gridW, GridH: d.gridH,
+		FwVersion: d.fwVersion, Events: d.events, SelfTests: d.selfTests,
 	}
 }
 
@@ -370,7 +400,7 @@ func (d *TouchDriver) Restore(s any) {
 	st := s.(*touchState)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.calibrated, d.mode = st.calibrated, st.mode
-	d.gridW, d.gridH, d.fwVersion = st.gridW, st.gridH, st.fwVersion
-	d.events, d.selfTests = st.events, st.selfTests
+	d.calibrated, d.mode = st.Calibrated, st.Mode
+	d.gridW, d.gridH, d.fwVersion = st.GridW, st.GridH, st.FwVersion
+	d.events, d.selfTests = st.Events, st.SelfTests
 }

@@ -4,20 +4,13 @@ package ebpf
 // deliberately survive both reboot and restore (the broker re-reads its
 // probe across resets, and ExecProg drains it per execution), so the hub
 // carries no device state: its generation never advances and Device.Restore
-// always skips it.
+// always skips it. Each twin's broker installs its own probes.
 
 // Checkpoint implements snap.Subsystem.
 func (h *Hub) Checkpoint() any { return nil }
 
 // Restore implements snap.Subsystem.
 func (h *Hub) Restore(any) {}
-
-// Export implements snap.Subsystem. Probes are harness wiring, not device
-// state: each twin's broker installs its own.
-func (h *Hub) Export() any { return nil }
-
-// Import implements snap.Subsystem.
-func (h *Hub) Import(any) {}
 
 // Gen implements snap.Subsystem.
 func (h *Hub) Gen() uint64 { return 0 }

@@ -1,6 +1,10 @@
 package hal
 
-import "droidfuzz/internal/binder"
+import (
+	"encoding/gob"
+
+	"droidfuzz/internal/binder"
+)
 
 // Process checkpoint/restore. A HAL service's internals are opaque
 // ("closed-source"), so restore does not copy fields back — it rebuilds the
@@ -9,15 +13,21 @@ import "droidfuzz/internal/binder"
 // issues no transactions, so a freshly constructed service IS the pristine
 // post-boot state.
 
+// procState is the Process's checkpoint payload. The service internals are
+// opaque, so the only state — and the only thing a checkpoint carries to
+// another device — is liveness; a twin restoring it keeps its own rebuild
+// closure and death recipient.
 type procState struct {
-	dead bool
+	Dead bool
 }
+
+func init() { gob.Register(&procState{}) }
 
 // Checkpoint implements snap.Subsystem.
 func (p *Process) Checkpoint() any {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return &procState{dead: p.dead}
+	return &procState{Dead: p.dead}
 }
 
 // Restore implements snap.Subsystem. Undrained crash records are dropped
@@ -33,30 +43,9 @@ func (p *Process) Restore(s any) {
 	if p.rebuild != nil {
 		p.inner = p.rebuild()
 	}
-	p.dead = st.dead
+	p.dead = st.Dead
 	p.crashes = nil
-	p.deathArmed = p.deathFn != nil && !st.dead
-}
-
-// ProcExport is the Process's portable checkpoint blob. The service
-// internals are opaque, so the only transferable state is liveness; the
-// importing twin rebuilds its own same-model service instance.
-type ProcExport struct {
-	Dead bool
-}
-
-// Export implements snap.Subsystem.
-func (p *Process) Export() any {
-	st := p.Checkpoint().(*procState)
-	return &ProcExport{Dead: st.dead}
-}
-
-// Import implements snap.Subsystem. The receiver keeps its own rebuild
-// closure and death recipient; Restore re-arms the latter.
-func (p *Process) Import(b any) {
-	e := b.(*ProcExport)
-	p.Restore(&procState{dead: e.Dead})
-	p.Touch()
+	p.deathArmed = p.deathFn != nil && !st.Dead
 }
 
 // Framework is a stateless dispatcher over the ServiceManager; it has
@@ -68,12 +57,6 @@ func (f *Framework) Checkpoint() any { return nil }
 
 // Restore implements snap.Subsystem.
 func (f *Framework) Restore(any) {}
-
-// Export implements snap.Subsystem.
-func (f *Framework) Export() any { return nil }
-
-// Import implements snap.Subsystem.
-func (f *Framework) Import(any) {}
 
 // Gen implements snap.Subsystem.
 func (f *Framework) Gen() uint64 { return 0 }

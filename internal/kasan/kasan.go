@@ -110,13 +110,15 @@ const (
 	stateFreed
 )
 
+// object is one live or quarantined allocation. Its fields are exported
+// because heapState carries objects by value in the portable checkpoint.
 type object struct {
-	id        uint64
-	size      int
-	data      []byte
-	state     objState
-	allocSite string
-	freeSite  string
+	ID        uint64
+	Size      int
+	Data      []byte
+	State     objState
+	AllocSite string
+	FreeSite  string
 }
 
 // Heap is the virtual slab allocator. All driver-owned dynamic objects live
@@ -163,11 +165,11 @@ func (h *Heap) Alloc(size int, site string) uint64 {
 	id := h.nextID
 	h.nextID++
 	h.objects[id] = &object{
-		id:        id,
-		size:      size,
-		data:      make([]byte, size),
-		state:     stateLive,
-		allocSite: site,
+		ID:        id,
+		Size:      size,
+		Data:      make([]byte, size),
+		State:     stateLive,
+		AllocSite: site,
 	}
 	h.allocs++
 	h.Touch()
@@ -185,14 +187,14 @@ func (h *Heap) Free(id uint64, site string) *Report {
 			Class: InvalidFree, Access: Write, Site: site, Object: id,
 		})
 	}
-	if obj.state == stateFreed {
+	if obj.State == stateFreed {
 		return h.report(&Report{
 			Class: DoubleFree, Access: Write, Site: site, Object: id,
-			Size: obj.size, AllocSite: obj.allocSite, FreeSite: obj.freeSite,
+			Size: obj.Size, AllocSite: obj.AllocSite, FreeSite: obj.FreeSite,
 		})
 	}
-	obj.state = stateFreed
-	obj.freeSite = site
+	obj.State = stateFreed
+	obj.FreeSite = site
 	h.frees++
 	h.Touch()
 	h.quarantine = append(h.quarantine, id)
@@ -214,7 +216,7 @@ func (h *Heap) Load(id uint64, off, n int, site string) ([]byte, *Report) {
 		return nil, rep
 	}
 	out := make([]byte, n)
-	copy(out, obj.data[off:off+n])
+	copy(out, obj.Data[off:off+n])
 	return out, nil
 }
 
@@ -226,7 +228,7 @@ func (h *Heap) Store(id uint64, off int, p []byte, site string) *Report {
 	if rep != nil {
 		return rep
 	}
-	copy(obj.data[off:off+len(p)], p)
+	copy(obj.Data[off:off+len(p)], p)
 	h.Touch()
 	return nil
 }
@@ -239,17 +241,17 @@ func (h *Heap) check(id uint64, off, n int, access AccessKind, site string) (*ob
 			Class: InvalidAccess, Access: access, Site: site, Object: id, Offset: off,
 		})
 	}
-	if obj.state == stateFreed {
+	if obj.State == stateFreed {
 		return nil, h.report(&Report{
 			Class: UseAfterFree, Access: access, Site: site, Object: id,
-			Size: obj.size, Offset: off,
-			AllocSite: obj.allocSite, FreeSite: obj.freeSite,
+			Size: obj.Size, Offset: off,
+			AllocSite: obj.AllocSite, FreeSite: obj.FreeSite,
 		})
 	}
-	if off < 0 || n < 0 || off+n > obj.size {
+	if off < 0 || n < 0 || off+n > obj.Size {
 		return nil, h.report(&Report{
 			Class: OutOfBounds, Access: access, Site: site, Object: id,
-			Size: obj.size, Offset: off + n, AllocSite: obj.allocSite,
+			Size: obj.Size, Offset: off + n, AllocSite: obj.AllocSite,
 		})
 	}
 	return obj, nil
@@ -267,7 +269,7 @@ func (h *Heap) Live(id uint64) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	obj, ok := h.objects[id]
-	return ok && obj.state == stateLive
+	return ok && obj.State == stateLive
 }
 
 // Reports returns all memory-error reports recorded so far, oldest first.
@@ -302,7 +304,7 @@ func (h *Heap) LiveObjects() int {
 	n := 0
 	// Order-independent count; identical in any map iteration order.
 	for _, obj := range h.objects { //droidvet:nondet order-independent count
-		if obj.state == stateLive {
+		if obj.State == stateLive {
 			n++
 		}
 	}

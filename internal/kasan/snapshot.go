@@ -1,39 +1,50 @@
 package kasan
 
+import (
+	"cmp"
+	"encoding/gob"
+	"fmt"
+	"slices"
+)
+
 // Heap checkpoint/restore. The post-boot heap is empty (drivers allocate
 // only while servicing syscalls), so the common snapshot is trivially
 // small, but Checkpoint deep-copies whatever is live so the contract holds
 // for any capture point.
 
+// heapState is the Heap's checkpoint payload.
 type heapState struct {
-	objects    map[uint64]object // deep copies, including backing data
-	nextID     uint64
-	quarantine []uint64
-	quarCap    int
-	allocs     uint64
-	frees      uint64
+	Objects    []object // deep copies, sorted by ID
+	NextID     uint64
+	Quarantine []uint64
+	QuarCap    int
+	Allocs     uint64
+	Frees      uint64
 }
+
+func init() { gob.Register(&heapState{}) }
 
 // Checkpoint implements snap.Subsystem.
 func (h *Heap) Checkpoint() any {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := &heapState{
-		objects: make(map[uint64]object, len(h.objects)),
-		nextID:  h.nextID,
-		quarCap: h.quarCap,
-		allocs:  h.allocs,
-		frees:   h.frees,
+		NextID:  h.nextID,
+		QuarCap: h.quarCap,
+		Allocs:  h.allocs,
+		Frees:   h.frees,
 	}
-	for id, obj := range h.objects { //droidvet:nondet order-independent map copy
-		cc := *obj
-		cc.data = make([]byte, len(obj.data))
-		copy(cc.data, obj.data)
-		st.objects[id] = cc
+	if len(h.objects) > 0 {
+		st.Objects = make([]object, 0, len(h.objects))
+		for _, obj := range h.objects { //droidvet:nondet collect-then-sort
+			cc := *obj
+			cc.Data = slices.Clone(obj.Data)
+			st.Objects = append(st.Objects, cc)
+		}
+		slices.SortFunc(st.Objects, func(a, b object) int { return cmp.Compare(a.ID, b.ID) })
 	}
-	if h.quarantine != nil {
-		st.quarantine = make([]uint64, len(h.quarantine))
-		copy(st.quarantine, h.quarantine)
+	if len(h.quarantine) > 0 {
+		st.Quarantine = slices.Clone(h.quarantine)
 	}
 	return st
 }
@@ -44,21 +55,28 @@ func (h *Heap) Restore(s any) {
 	st := s.(*heapState)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.objects = make(map[uint64]*object, len(st.objects))
-	for id, obj := range st.objects { //droidvet:nondet order-independent map copy
+	h.objects = make(map[uint64]*object, len(st.Objects))
+	for _, obj := range st.Objects {
 		cc := obj
-		cc.data = make([]byte, len(obj.data))
-		copy(cc.data, obj.data)
-		h.objects[id] = &cc
+		cc.Data = make([]byte, len(obj.Data))
+		copy(cc.Data, obj.Data)
+		h.objects[cc.ID] = &cc
 	}
-	h.nextID = st.nextID
-	h.quarantine = nil
-	if st.quarantine != nil {
-		h.quarantine = make([]uint64, len(st.quarantine))
-		copy(h.quarantine, st.quarantine)
-	}
-	h.quarCap = st.quarCap
-	h.allocs = st.allocs
-	h.frees = st.frees
+	h.nextID = st.NextID
+	h.quarantine = slices.Clone(st.Quarantine)
+	h.quarCap = st.QuarCap
+	h.allocs = st.Allocs
+	h.frees = st.Frees
 	h.reports = nil
+}
+
+// Validate implements snap.Validator: every object's backing data must
+// span exactly its size, the bound every later access is checked against.
+func (h *Heap) Validate(s any) error {
+	for _, obj := range s.(*heapState).Objects {
+		if len(obj.Data) != obj.Size {
+			return fmt.Errorf("kasan: checkpoint object %d has %d data bytes for size %d", obj.ID, len(obj.Data), obj.Size)
+		}
+	}
+	return nil
 }

@@ -27,23 +27,30 @@ func (d *Dirty) Touch() { d.gen.Add(1) }
 func (d *Dirty) Gen() uint64 { return d.gen.Load() }
 
 // Subsystem is the per-subsystem checkpoint/restore contract. Checkpoint
-// deep-copies the live state into an opaque immutable value; Restore
+// deep-copies the live state into an opaque immutable payload; Restore
 // copies it back, leaving the receiver exactly as it was at checkpoint
-// time. The state value is reused across many restores and must never be
+// time. The payload is reused across many restores and must never be
 // aliased mutably by either side.
 //
-// Export/Import are the portable counterpart: Export deep-copies the live
-// state into a device-independent blob — exported fields only (it must
-// survive a gob round-trip) and no pointers into the source device — or
-// nil for stateless subsystems. Import re-materializes an exported blob
-// onto the receiver, which must belong to a device of the same model, and
-// marks the receiver dirty. Imported blobs are immutable by the same
-// contract as checkpoint payloads: one blob may be imported into many
-// twins, so Import must copy, never alias.
+// The payload is also the subsystem's portable form: the device gob-encodes
+// it into checkpoints that cross devices and hosts, and restores decoded
+// payloads onto same-model twins. So a payload holds exported fields only
+// (gob silently drops the rest), no maps (slices sorted by key keep the
+// encoding deterministic; empty collections are nil, the shape a decode
+// produces), and no pointers into its device — or nil for stateless
+// subsystems. A field that is device-local on purpose stays unexported
+// and carries a //droidvet:checkpoint annotation; Restore must then accept
+// a payload in which it is zero.
 type Subsystem interface {
 	Checkpoint() any
 	Restore(any)
-	Export() any
-	Import(any)
 	Gen() uint64
+}
+
+// Validator is implemented by subsystems whose payloads must fit the
+// receiver beyond their type: a decoded payload is checked against it
+// before any subsystem of the device is restored, so a mismatched
+// checkpoint is rejected whole instead of applied in part.
+type Validator interface {
+	Validate(payload any) error
 }

@@ -1,9 +1,12 @@
 package vkernel
 
+import "encoding/gob"
+
 // Kernel checkpoint/restore. The device tree (devs), installed tracer, and
 // syscall gate survive a restore unchanged — they are boot-time wiring, not
 // runtime state — so restoring a kernel leaves the same *Kernel usable by
-// everything that captured a pointer to it. Everything a campaign mutates
+// everything that captured a pointer to it (and a gated broker stays gated
+// after importing a checkpoint). Everything a campaign mutates
 // (fd table, trace sequence, crash/dmesg buffers, lockdep counts, coverage)
 // is wound back to its post-boot value.
 
@@ -11,14 +14,16 @@ package vkernel
 // so pristine state is almost entirely implied by zero values; only the
 // (test-tunable) step budget needs capturing.
 type kernelState struct {
-	stepBudget int
+	StepBudget int
 }
+
+func init() { gob.Register(&kernelState{}) }
 
 // Checkpoint implements snap.Subsystem.
 func (k *Kernel) Checkpoint() any {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return &kernelState{stepBudget: k.StepBudget}
+	return &kernelState{StepBudget: k.StepBudget}
 }
 
 // Restore implements snap.Subsystem. It drops every open fd without running
@@ -36,7 +41,7 @@ func (k *Kernel) Restore(s any) {
 	k.wedged = false
 	k.dmesg = nil
 	clear(k.lockSeq)
-	k.StepBudget = st.stepBudget
+	k.StepBudget = st.StepBudget
 	k.mu.Unlock()
 	// A fresh boot builds a disabled, empty collector; Reset+Disable is
 	// observationally identical and keeps the 256 KiB trace buffer.
