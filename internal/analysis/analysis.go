@@ -178,6 +178,10 @@ func DefaultConfig() Config {
 		},
 		SnapshotBuilders: []string{
 			"droidfuzz/internal/relation.Graph.buildSnapshotLocked",
+			// The row-incremental build shares an earlier snapshot's names,
+			// weights, index and untouched rows, and writes only the fresh
+			// row-header slices of the snapshot it is constructing.
+			"droidfuzz/internal/relation.Graph.rebuildRowsLocked",
 			// Device.Restore maintains the per-entry generation bookkeeping
 			// the Snapshot contract explicitly allows; captureSnapshot and
 			// the Checkpoint methods construct payloads before publication.

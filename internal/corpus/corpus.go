@@ -29,6 +29,11 @@ type Entry struct {
 type Corpus struct {
 	mu      sync.Mutex
 	entries []*Entry
+	// cum holds the prefix sums of the entries' pick weights Signal+1:
+	// cum[i] is the total weight of entries[:i+1]. Entries are append-only
+	// and Signal never changes, so Add extends it in O(1) and a weighted
+	// pick over any prefix is a binary search.
+	cum []int
 	// seen dedups admissions by the 64-bit FNV-1a hash of the canonical
 	// program text. Keeping the full text of every program ever offered —
 	// admitted or not — grew without bound over a long campaign; 8 bytes
@@ -66,6 +71,11 @@ func (c *Corpus) Add(p *dsl.Prog, signal int) bool {
 	}
 	c.seen[key] = struct{}{}
 	c.entries = append(c.entries, &Entry{Prog: p.Clone(), Signal: signal})
+	total := signal + 1
+	if n := len(c.cum); n > 0 {
+		total += c.cum[n-1]
+	}
+	c.cum = append(c.cum, total)
 	c.adds++
 	return true
 }
@@ -86,50 +96,47 @@ func (c *Corpus) Adds() uint64 {
 
 // Pick draws a seed for mutation. Half the draws are uniform — keeping
 // rare, low-signal seeds alive — and half are biased toward entries with
-// higher contributed signal (prio ∝ signal+1). Returns nil on an empty
-// corpus.
+// higher contributed signal (prio ∝ signal+1). The result is a private
+// clone the caller may edit. Returns nil on an empty corpus.
 func (c *Corpus) Pick(rng *rand.Rand) *dsl.Prog {
-	return c.PickN(rng, -1)
+	p := c.PickN(rng, -1)
+	if p == nil {
+		return nil
+	}
+	return p.Clone()
 }
 
-// PickN is Pick restricted to the first n entries. Because the corpus is
-// append-only and an entry's Signal never changes after admission, the
-// first n entries are a pinned view of the corpus as it stood when it had
-// length n — the pipelined producer draws from views captured at
-// deterministic sync points so identical campaigns make identical draws
-// regardless of goroutine scheduling. n < 0 (or n beyond the current
-// length) means the whole corpus; the draw sequence on the same prefix is
-// identical to Pick's.
+// PickN is Pick restricted to the first n entries, without the clone. The
+// result is the entry's own program, shared with the corpus and every
+// other caller, and must be treated as read-only — the same contract as
+// relation.Snapshot.Successors; gen.Mutate makes the one copy a mutation
+// needs. Because the corpus is append-only and an entry's Signal never
+// changes after admission, the first n entries are a pinned view of the
+// corpus as it stood when it had length n — the pipelined producer draws
+// from views captured at deterministic sync points so identical campaigns
+// make identical draws regardless of goroutine scheduling. n < 0 (or n
+// beyond the current length) means the whole corpus; the draw sequence on
+// the same prefix is identical to Pick's. The weighted draw x selects the
+// first entry whose prefix sum exceeds x: the entry a linear scan
+// subtracting each Signal+1 from x would stop at.
 func (c *Corpus) PickN(rng *rand.Rand, n int) *dsl.Prog {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ents := c.entries
-	if n >= 0 && n < len(ents) {
-		ents = ents[:n]
+	if n < 0 || n > len(c.entries) {
+		n = len(c.entries)
 	}
-	if len(ents) == 0 {
+	if n == 0 {
 		return nil
 	}
+	var e *Entry
 	if rng.Intn(2) == 0 {
-		e := ents[rng.Intn(len(ents))]
-		e.Hits++
-		return e.Prog.Clone()
+		e = c.entries[rng.Intn(n)]
+	} else {
+		x := rng.Intn(c.cum[n-1])
+		e = c.entries[sort.SearchInts(c.cum[:n], x+1)]
 	}
-	total := 0
-	for _, e := range ents {
-		total += e.Signal + 1
-	}
-	x := rng.Intn(total)
-	for _, e := range ents {
-		x -= e.Signal + 1
-		if x < 0 {
-			e.Hits++
-			return e.Prog.Clone()
-		}
-	}
-	e := ents[len(ents)-1]
 	e.Hits++
-	return e.Prog.Clone()
+	return e.Prog
 }
 
 // Entries returns a snapshot of the corpus ordered by descending signal.

@@ -11,7 +11,7 @@ import (
 	"droidfuzz/internal/dsl"
 )
 
-func target(t *testing.T) *dsl.Target {
+func target(t testing.TB) *dsl.Target {
 	t.Helper()
 	tg, err := dsl.NewTarget(drivers.TCPCDescs()...)
 	if err != nil {
@@ -20,7 +20,7 @@ func target(t *testing.T) *dsl.Target {
 	return tg
 }
 
-func prog(t *testing.T, tg *dsl.Target, text string) *dsl.Prog {
+func prog(t testing.TB, tg *dsl.Target, text string) *dsl.Prog {
 	t.Helper()
 	p, err := dsl.ParseProg(tg, text)
 	if err != nil {
@@ -145,6 +145,12 @@ func TestConcurrentAddAndPick(t *testing.T) {
 					t.Error("pick returned nil on non-empty corpus")
 					return
 				}
+				// A shared PickN result is read while other goroutines
+				// admit programs, as the look-ahead producer does.
+				if got := c.PickN(rng, -1); got == nil || got.String() == "" {
+					t.Error("PickN returned nil or an empty program on non-empty corpus")
+					return
+				}
 			}
 		}(g)
 	}
@@ -190,5 +196,95 @@ func TestHashDedupMatchesTextDedup(t *testing.T) {
 	}
 	if c.Len() != 2002 {
 		t.Fatalf("len = %d, want 2002", c.Len())
+	}
+}
+
+// refPickN is PickN's historical linear scan, kept as the reference the
+// prefix-sum pick must match draw for draw: the same rng calls in the same
+// order, and the same entry for every draw.
+func refPickN(ents []*Entry, rng *rand.Rand, n int) *Entry {
+	if n >= 0 && n < len(ents) {
+		ents = ents[:n]
+	}
+	if len(ents) == 0 {
+		return nil
+	}
+	if rng.Intn(2) == 0 {
+		return ents[rng.Intn(len(ents))]
+	}
+	total := 0
+	for _, e := range ents {
+		total += e.Signal + 1
+	}
+	x := rng.Intn(total)
+	for _, e := range ents {
+		x -= e.Signal + 1
+		if x < 0 {
+			return e
+		}
+	}
+	return ents[len(ents)-1]
+}
+
+// TestPickNMatchesLinearScan: over random corpora of up to 2 000 entries
+// with random signals, and prefixes before, at and beyond both ends, PickN
+// returns the reference scan's entry and leaves the rng in the same state.
+func TestPickNMatchesLinearScan(t *testing.T) {
+	tg := target(t)
+	base := prog(t, tg, `r0 = open$tcpc(path="/dev/tcpc0")`+"\nioctl$TCPC_RESET(fd=r0, req=0xa101)\n")
+	gen := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 12; trial++ {
+		size := gen.Intn(2001)
+		if trial == 0 {
+			size = 0
+		}
+		c := New()
+		for i := 0; i < size; i++ {
+			p := base.Clone()
+			p.Calls[1].Args[1].Val = uint64(i)
+			signal := gen.Intn(20)
+			switch gen.Intn(4) {
+			case 0:
+				signal = 0
+			case 1:
+				signal = gen.Intn(5000)
+			}
+			if !c.Add(p, signal) {
+				t.Fatalf("distinct program %d rejected", i)
+			}
+		}
+		seed := gen.Int63()
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for _, n := range []int{-1, 0, 1, size / 2, size, size + 3} {
+			for d := 0; d < 300; d++ {
+				p := c.PickN(got, n)
+				ref := refPickN(c.entries, want, n)
+				if (p == nil) != (ref == nil) || (ref != nil && p != ref.Prog) {
+					t.Fatalf("trial %d (size %d) n=%d draw %d: PickN chose a different entry than the linear scan", trial, size, n, d)
+				}
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("trial %d (size %d) n=%d draw %d: rng diverged (%d vs %d)", trial, size, n, d, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestPickNSharesEntryStorage: PickN hands out the entry's own program
+// (read-only, uncopied) and Pick a private clone.
+func TestPickNSharesEntryStorage(t *testing.T) {
+	tg := target(t)
+	c := New()
+	c.Add(prog(t, tg, `r0 = open$tcpc(path="/dev/tcpc0")`+"\n"), 3)
+	rng := rand.New(rand.NewSource(2))
+	e := c.Entries()[0]
+	if c.PickN(rng, -1) != e.Prog {
+		t.Fatal("PickN copied the entry's program")
+	}
+	if c.Pick(rng) == e.Prog {
+		t.Fatal("Pick returned the entry's own program")
+	}
+	if e.Hits != 2 {
+		t.Fatalf("hits = %d, want 2", e.Hits)
 	}
 }

@@ -389,8 +389,11 @@ type pending struct {
 // nextFrom selects the program for one iteration: fresh generation or
 // corpus mutation, drawn from the given RNG and generator, with seeds drawn
 // only from the first climit corpus entries (climit < 0: the whole corpus).
-// The draw order (Pick, then the short-circuited ratio draw, then the donor
-// Pick) is part of the serial determinism contract — do not reorder.
+// The draw order (the seed PickN, then the short-circuited ratio draw, then
+// the donor PickN) is part of the serial determinism contract — do not
+// reorder. Both picks are the corpus's own programs, shared read-only:
+// generation discards the seed uncopied, and Mutate's clone is the only
+// copy a mutation makes.
 func (e *Engine) nextFrom(rng *rand.Rand, g *gen.Generator, climit int) pending {
 	seed := e.corpus.PickN(rng, climit)
 	if seed == nil || rng.Float64() < generateRatio {

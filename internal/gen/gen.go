@@ -276,6 +276,10 @@ const (
 
 // Mutate evolves a seed program. donor, when non-nil, enables the splice
 // operator. The returned program is always freshly allocated and valid.
+// seed and donor are only read: callers pass corpus programs as shared
+// read-only storage (corpus.PickN), so the one clone of seed below and
+// splice's copies of the donor's calls are the only copies a mutation
+// makes.
 func (g *Generator) Mutate(seed *dsl.Prog, donor *dsl.Prog) (*dsl.Prog, MutateOp) {
 	p := seed.Clone()
 	ops := []MutateOp{OpMutateArgs, OpMutateArgs, OpInsertCall, OpInsertCall, OpRemoveCall}
@@ -473,14 +477,13 @@ func (g *Generator) paramPrefix(p *dsl.Prog) *dsl.Prog {
 	return p.InsertCall(ci, g.instantiate(desc))
 }
 
-// splice appends the donor's calls (with internal references remapped)
-// after a random prefix of p, truncating to HardCap.
+// splice appends copies of the donor's calls (with internal references
+// remapped) after a random prefix of p, truncating to HardCap. p is the
+// mutation's private clone, so its prefix calls move over uncopied; the
+// donor is shared read-only storage and is never written.
 func (g *Generator) splice(p *dsl.Prog, donor *dsl.Prog) *dsl.Prog {
 	cut := g.rng.Intn(p.Len() + 1)
-	out := &dsl.Prog{}
-	for _, c := range p.Calls[:cut] {
-		out.Calls = append(out.Calls, c.Clone())
-	}
+	out := &dsl.Prog{Calls: append([]*dsl.Call(nil), p.Calls[:cut]...)}
 	offset := len(out.Calls)
 	for _, c := range donor.Calls {
 		if len(out.Calls) >= HardCap {

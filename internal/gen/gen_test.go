@@ -1,12 +1,17 @@
 package gen
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"droidfuzz/internal/device"
 	"droidfuzz/internal/drivers"
 	"droidfuzz/internal/dsl"
+	"droidfuzz/internal/probe"
 	"droidfuzz/internal/relation"
 )
 
@@ -190,5 +195,80 @@ func TestHardCapRespected(t *testing.T) {
 		if p := g.Generate(); p.Len() > HardCap {
 			t.Fatalf("len = %d", p.Len())
 		}
+	}
+}
+
+// deepCopy copies p exactly, keeping nil and empty slices apart, so a
+// comparison against it catches any write Mutate makes into its inputs.
+func deepCopy(p *dsl.Prog) *dsl.Prog {
+	out := &dsl.Prog{Calls: slices.Clone(p.Calls)}
+	for i, c := range p.Calls {
+		nc := &dsl.Call{Desc: c.Desc, Args: slices.Clone(c.Args)}
+		for j := range nc.Args {
+			nc.Args[j].Data = bytes.Clone(nc.Args[j].Data)
+		}
+		out.Calls[i] = nc
+	}
+	return out
+}
+
+// TestMutateLeavesInputsUntouched pins the shared-storage contract the
+// engine relies on: corpus.PickN hands Mutate the corpus's own programs,
+// so Mutate must never write into its seed or donor. Every Table I model's
+// parameter-extended target is driven through 2 000 mutations with a
+// learned graph, so every operator — splice and param-prefix included —
+// fires many times.
+func TestMutateLeavesInputsUntouched(t *testing.T) {
+	for _, m := range device.Models() {
+		t.Run(m.ID, func(t *testing.T) {
+			target, _, err := probe.Target(device.New(m), probe.Options{Params: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			graph := relation.New()
+			for _, d := range target.Calls() {
+				graph.AddVertex(d.Name, d.Weight)
+			}
+			g := New(target, graph, rand.New(rand.NewSource(int64(len(m.ID)))), Options{})
+			if !g.hasParams {
+				t.Fatal("target has no param calls: param-prefix would never fire")
+			}
+			pool := make([]*dsl.Prog, 16)
+			for i := range pool {
+				pool[i] = g.Generate()
+				for j := 1; j < pool[i].Len(); j++ {
+					graph.Learn(pool[i].Calls[j-1].Desc.Name, pool[i].Calls[j].Desc.Name)
+				}
+			}
+			fired := make(map[MutateOp]int)
+			for i := 0; i < 2000; i++ {
+				seed := pool[g.rng.Intn(len(pool))]
+				var donor *dsl.Prog
+				if g.rng.Intn(4) != 0 {
+					donor = pool[g.rng.Intn(len(pool))]
+				}
+				seedBefore := deepCopy(seed)
+				var donorBefore *dsl.Prog
+				if donor != nil {
+					donorBefore = deepCopy(donor)
+				}
+				q, op := g.Mutate(seed, donor)
+				fired[op]++
+				if !reflect.DeepEqual(seed, seedBefore) {
+					t.Fatalf("mutation %d (op %d) wrote into its seed:\nbefore:\n%s\nafter:\n%s", i, op, seedBefore, seed)
+				}
+				if donor != nil && !reflect.DeepEqual(donor, donorBefore) {
+					t.Fatalf("mutation %d (op %d) wrote into its donor:\nbefore:\n%s\nafter:\n%s", i, op, donorBefore, donor)
+				}
+				// Mutants re-enter the pool, as admitted programs re-enter
+				// the corpus, so later mutations read them as shared inputs.
+				pool[g.rng.Intn(len(pool))] = q
+			}
+			for op := OpMutateArgs; op <= OpParamPrefix; op++ {
+				if fired[op] == 0 {
+					t.Errorf("operator %d never fired in 2000 mutations", op)
+				}
+			}
+		})
 	}
 }

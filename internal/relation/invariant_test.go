@@ -86,12 +86,14 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 }
 
 // TestGraphInvariantsWithMixedParamLearns interleaves param-write and ioctl
-// vertices through random Learn/Decay sequences, the shape a param-enabled
-// campaign produces: Eq. (1) normalization, the Out/In mirror, and the
-// published snapshot's Successors/Predecessors views must all stay
-// consistent with both call classes in the graph.
+// vertices through random Learn/Decay/AddVertex sequences, the shape a
+// param-enabled campaign produces: Eq. (1) normalization, the Out/In
+// mirror, and the published snapshot's Successors/Predecessors views must
+// all stay consistent with both call classes in the graph. After every op
+// the published snapshot — row-incremental after Learns, from scratch after
+// AddVertex and Decay — must equal a from-scratch build.
 func TestGraphInvariantsWithMixedParamLearns(t *testing.T) {
-	names := []string{
+	base := []string{
 		"param$tcpc.max_contract_mv", "param$tcpc.pd_compliance",
 		"param$wlan.ps_mode", "param$gpu.max_freq_mhz",
 		"ioctl$TCPC_SET_VOLTAGE", "ioctl$TCPC_SET_MODE",
@@ -102,18 +104,34 @@ func TestGraphInvariantsWithMixedParamLearns(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			g := New()
+			names := append([]string(nil), base...)
 			for _, n := range names {
 				g.AddVertex(n, 0.1+rng.Float64())
 			}
 			for op := 0; op < 5000; op++ {
-				switch {
-				case rng.Intn(20) == 0:
+				switch r := rng.Intn(40); {
+				case r < 2:
 					g.Decay(0.5+rng.Float64()*0.45, rng.Float64()*0.05)
+				case r == 2:
+					// A new vertex or a re-weighted existing one.
+					n := names[rng.Intn(len(names))]
+					if rng.Intn(2) == 0 {
+						n = fmt.Sprintf("ioctl$EXTRA_%d", op)
+						names = append(names, n)
+					}
+					g.AddVertex(n, 0.1+rng.Float64())
 				default:
 					g.Learn(names[rng.Intn(len(names))], names[rng.Intn(len(names))])
 				}
 				if err := g.CheckInvariants(); err != nil {
 					t.Fatalf("op %d: invariants broken: %v", op, err)
+				}
+				s := g.Snapshot()
+				g.mu.Lock()
+				full := g.buildSnapshotLocked()
+				g.mu.Unlock()
+				if err := diffSnapshots(s, full); err != nil {
+					t.Fatalf("op %d: published snapshot differs from a full rebuild: %v", op, err)
 				}
 				if op%500 != 0 {
 					continue
@@ -122,7 +140,6 @@ func TestGraphInvariantsWithMixedParamLearns(t *testing.T) {
 				// successor edge a→b appears among b's predecessors with
 				// the same weight, and vice versa — param and ioctl
 				// vertices alike.
-				s := g.Snapshot()
 				for _, a := range names {
 					for _, e := range s.Successors(a) {
 						found := false

@@ -33,6 +33,8 @@ type Vertex struct {
 	Out map[string]float64
 	// In maps predecessor names to the same edge weights.
 	In map[string]float64
+	// idx is the vertex's insertion position, its row in every Snapshot.
+	idx int
 }
 
 // Graph is the relation graph. Safe for concurrent use: the daemon shares
@@ -48,7 +50,14 @@ type Graph struct {
 	// next Snapshot() call rebuilds under mu. Generation-time reads
 	// (PickBase, Walk, Successors) go through it lock-free.
 	snap atomic.Pointer[Snapshot]
-	san  graphSan
+	// last is the most recently built snapshot. It outlives invalidation so
+	// the next build can share every row no Learn touched since; nil means
+	// the next build starts from scratch (AddVertex, Decay).
+	last *Snapshot
+	// dirty holds, per vertex index, the dirtySucc/dirtyPred bits of the
+	// rows of last that Learns changed. Only meaningful while last != nil.
+	dirty []uint8
+	san   graphSan
 }
 
 // New returns a graph with no vertices.
@@ -67,7 +76,7 @@ func (g *Graph) AddVertex(name string, weight float64) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	defer g.invalidateLocked()
+	defer g.resetSnapshotLocked()
 	if v, ok := g.verts[name]; ok {
 		v.Weight = weight
 		return
@@ -77,6 +86,7 @@ func (g *Graph) AddVertex(name string, weight float64) {
 		Weight: weight,
 		Out:    make(map[string]float64),
 		In:     make(map[string]float64),
+		idx:    len(g.names),
 	}
 	g.names = append(g.names, name)
 }
@@ -165,12 +175,19 @@ func (g *Graph) Learn(a, b string) {
 		}
 	}
 	sort.Strings(siblings)
+	// The changed rows are the successor rows of a and of every in-sibling
+	// (each holds an edge into b) and the predecessor row of b.
+	track := g.last != nil
 	var sum float64
 	for _, x := range siblings {
 		half := vb.In[x] / 2
 		vb.In[x] = half
-		g.verts[x].Out[b] = half
+		vx := g.verts[x]
+		vx.Out[b] = half
 		sum += half
+		if track {
+			g.dirty[vx.idx] |= dirtySucc
+		}
 	}
 	w := 1 - sum
 	if w < 0 {
@@ -178,6 +195,10 @@ func (g *Graph) Learn(a, b string) {
 	}
 	va.Out[b] = w
 	vb.In[a] = w
+	if track {
+		g.dirty[va.idx] |= dirtySucc
+		g.dirty[vb.idx] |= dirtyPred
+	}
 	g.learns++
 	g.invalidateLocked()
 	g.sanCheck("Learn", 0)
@@ -208,7 +229,7 @@ func (g *Graph) Decay(factor, floor float64) {
 			g.verts[b].In[v.Name] = nw
 		}
 	}
-	g.invalidateLocked()
+	g.resetSnapshotLocked()
 	g.sanCheck("Decay", floor)
 }
 

@@ -22,17 +22,18 @@ type snapSan struct {
 	sum uint64
 }
 
-// sanSealLocked verifies the previously published snapshot is untouched,
-// then fingerprints and remembers the new one; g.mu must be held.
+// sanSealLocked fingerprints and remembers a newly built snapshot; g.mu
+// must be held.
 func (g *Graph) sanSealLocked(s *Snapshot) {
-	g.sanVerifySnapLocked()
 	s.san.sum = s.fingerprint()
 	g.san.last = s
 }
 
 // sanVerifySnapLocked panics if the last published snapshot was mutated
-// after publication; g.mu must be held. Called on every reseal and from
-// CheckInvariants, so the engine's per-step sanitize sweep covers it too.
+// after publication; g.mu must be held. Called before every rebuild (a
+// row-incremental build shares the previous snapshot's rows, so a write
+// into one must be reported as what it is, not as a diverging rebuild) and
+// from CheckInvariants, so the engine's per-step sanitize sweep covers it too.
 func (g *Graph) sanVerifySnapLocked() {
 	p := g.san.last
 	if p == nil {
@@ -40,6 +41,16 @@ func (g *Graph) sanVerifySnapLocked() {
 	}
 	if got := p.fingerprint(); got != p.san.sum {
 		panic(fmt.Sprintf("droidfuzz_sanitize: published relation.Snapshot was mutated after publication (fingerprint %#x, sealed %#x) — snapshots are immutable by contract; copy before editing", got, p.san.sum))
+	}
+}
+
+// sanCheckRebuildLocked panics if a row-incremental snapshot differs in
+// anything from a from-scratch build of the same graph; g.mu must be held.
+// A Learn that forgets to mark a row it changed would otherwise publish a
+// stale sorted row and skew every later walk without failing anything.
+func (g *Graph) sanCheckRebuildLocked(s *Snapshot) {
+	if err := diffSnapshots(s, g.buildSnapshotLocked()); err != nil {
+		panic(fmt.Sprintf("droidfuzz_sanitize: row-incremental relation.Snapshot diverges from a full rebuild: %v", err))
 	}
 }
 

@@ -59,3 +59,35 @@ func TestUntouchedSnapshotReseals(t *testing.T) {
 		}
 	}
 }
+
+// TestUnmarkedRowChangePanics: an edge changed without its row marked
+// dirty — the bug a Learn that forgets a sibling would have — must make
+// the next row-incremental build panic, naming the stale row.
+func TestUnmarkedRowChangePanics(t *testing.T) {
+	g := New()
+	for _, n := range []string{"a", "b", "c"} {
+		g.AddVertex(n, 0.3)
+	}
+	g.Learn("a", "b")
+	_ = g.Snapshot()
+	// Rewrite a→b on both mirrors behind the dirty tracking, then Learn an
+	// unrelated pair so the next read takes the incremental path.
+	g.verts["a"].Out["b"] = 0.5
+	g.verts["b"].In["a"] = 0.5
+	g.Learn("b", "c")
+	var msg string
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = r.(string)
+			}
+		}()
+		_ = g.Snapshot()
+	}()
+	if msg == "" {
+		t.Fatal("stale incremental row did not panic")
+	}
+	if !strings.Contains(msg, "full rebuild") || !strings.Contains(msg, `row of "a"`) {
+		t.Fatalf("panic does not name the stale row: %q", msg)
+	}
+}
