@@ -16,11 +16,13 @@
 // look-ahead depth, and -batch makes engines execute programs in batches of
 // that size through the executors' batch extension; with both at 0 each
 // engine runs the serial schedule. A batch is generated ahead in full, so
-// -batch N alone implies a look-ahead of N. Engines of a multi-device
-// fleet run concurrently and apply shared relation learns on a wall-clock
-// ticker, so such a fleet is not byte-reproducible; a one-device fleet has
-// nothing to run in parallel and runs in place, so `droidfleet -devices A1`
-// replays a campaign bit-identically per seed.
+// -batch N alone implies a look-ahead of N. Every engine lands its relation
+// learns in the shared table at the end of each executor call, so a
+// one-device fleet replays itself per seed under any schedule, and with
+// both at 0 `droidfleet -devices A1` replays the serial campaign
+// bit-identically. Engines of a multi-device fleet run concurrently and
+// land their learns in whatever order their calls finish, so such a fleet
+// is not byte-reproducible.
 // With -remote, batching is the wire-protocol-v2 fast path — batched
 // frames, delta-coded traces, and the interesting-only summary uplink —
 // and -window bounds how many frames each connection keeps in flight. The campaign runs in -rounds slices,
@@ -240,10 +242,9 @@ func newFleet(cfg fleetConfig) (*daemon.Daemon, map[string]*adb.Resilient, error
 }
 
 // campaign runs iters iterations on every engine in rounds slices, calling
-// after at the end of each slice. Engines run in parallel only when there
-// is more than one: the parallel path applies relation learns on a
-// wall-clock ticker, while a lone engine runs its schedule in place, which
-// under the serial schedule is deterministic per seed.
+// after at the end of each slice. Each engine carries its RNGs across
+// slices, so a one-device campaign cut into rounds is still deterministic
+// per seed.
 func campaign(d *daemon.Daemon, iters, rounds int, after func()) {
 	if rounds <= 0 {
 		rounds = 1
@@ -252,13 +253,12 @@ func campaign(d *daemon.Daemon, iters, rounds int, after func()) {
 	if per == 0 {
 		per, rounds = iters, 1
 	}
-	parallel := len(d.Devices()) > 1
 	for r := 0; r < rounds; r++ {
 		n := per
 		if r == rounds-1 {
 			n = iters - per*(rounds-1)
 		}
-		d.Run(n, parallel)
+		d.Run(n, true)
 		after()
 	}
 }

@@ -273,7 +273,7 @@ func (c *Conn) wait(pc *pendingCall) (rpcReply, error) {
 	d := c.timeout
 	c.mu.Unlock()
 	if d > 0 {
-		timer := time.NewTimer(d)
+		timer := time.NewTimer(d) //droidvet:nondet a call timeout only fails a wedged link; it never picks what the engine runs
 		defer timer.Stop()
 		select {
 		case <-pc.done:

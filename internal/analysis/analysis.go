@@ -111,6 +111,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		DeterminismRoots: []string{
+			"droidfuzz/internal/daemon",
 			"droidfuzz/internal/engine",
 			"droidfuzz/internal/gen",
 			"droidfuzz/internal/relation",
@@ -138,7 +139,6 @@ func DefaultConfig() Config {
 			"droidfuzz/internal/feedback.SpecTable",
 			"droidfuzz/internal/daemon.Daemon",
 			"droidfuzz/internal/relation.Graph",
-			"droidfuzz/internal/relation.LearnBuffer",
 		},
 		SnapshotTypes: []string{
 			"droidfuzz/internal/relation.Snapshot",
@@ -250,11 +250,9 @@ func DefaultConfig() Config {
 		},
 		GoShutdownChans: []string{
 			// quit: the transport writeLoop's poison channel (Conn.fail
-			// closes it). stopApply: the daemon's learn-applier stop signal,
-			// closed at the end of RunParallel. Done: context.Context.Done()
-			// for any future ctx-threaded worker.
+			// closes it). Done: context.Context.Done() for any future
+			// ctx-threaded worker.
 			"quit",
-			"stopApply",
 			"Done",
 		},
 	}

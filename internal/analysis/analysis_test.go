@@ -70,17 +70,17 @@ func dump(t *testing.T, diags []analysis.Diagnostic) {
 func TestDeterminismPassOnFixture(t *testing.T) {
 	diags := analysis.Analyze(loadFixture(t), fixtureConfig())
 
-	for _, want := range []string{"time.Now", "time.Since", "math/rand", "map iteration order"} {
+	for _, want := range []string{"time.Now", "time.Since", "time.NewTicker", "time.Sleep", "math/rand", "map iteration order"} {
 		if len(matching(diags, analysis.PassDeterminism, "det.go", want)) == 0 {
 			dump(t, diags)
 			t.Errorf("seeded %q violation not reported", want)
 		}
 	}
-	// Exactly the four seeded sites: the collect-then-sort Keys, the
+	// Exactly the six seeded sites: the collect-then-sort Keys, the
 	// line-waived Waived, and the seeded-stream Seeded must stay clean.
-	if got := matching(diags, analysis.PassDeterminism, "det.go", ""); len(got) != 4 {
+	if got := matching(diags, analysis.PassDeterminism, "det.go", ""); len(got) != 6 {
 		dump(t, got)
-		t.Errorf("det.go determinism findings = %d, want exactly 4", len(got))
+		t.Errorf("det.go determinism findings = %d, want exactly 6", len(got))
 	}
 	// The file-scoped waiver silences the whole second file.
 	if got := matching(diags, analysis.PassDeterminism, "waived_file.go", ""); len(got) != 0 {
@@ -485,10 +485,15 @@ func TestDefaultConfigCoversNewPasses(t *testing.T) {
 			t.Errorf("DefaultConfig missing goroutine root %s", want)
 		}
 	}
-	for _, want := range []string{"quit", "stopApply"} {
+	for _, want := range []string{"quit", "Done"} {
 		if !slices.Contains(cfg.GoShutdownChans, want) {
 			t.Errorf("DefaultConfig missing shutdown channel %s", want)
 		}
+	}
+	// The daemon schedules every engine; a clock or map-order decision
+	// there reaches the shared relation table.
+	if !slices.Contains(cfg.DeterminismRoots, "droidfuzz/internal/daemon") {
+		t.Error("DefaultConfig determinism roots miss droidfuzz/internal/daemon")
 	}
 	// The coordinator protocol vocabulary must stay under the wire manifest:
 	// without these roots a CoordShard or FedBatch field change would ship

@@ -11,6 +11,9 @@ import (
 //
 //   - time.Now / time.Since / time.Until — wall-clock reads feeding
 //     fuzzing decisions break replay;
+//   - time.NewTicker / Tick / After / AfterFunc / NewTimer / Sleep —
+//     clock-driven scheduling decides when something happens, and so what
+//     the fuzzing loop observes;
 //   - the global math/rand source (rand.Intn, rand.Float64, rand.Shuffle,
 //     ...) — only explicitly seeded *rand.Rand streams are replayable;
 //   - ranging over a map — iteration order is randomized per run, so any
@@ -58,6 +61,8 @@ func determinismFile(prog *Program, pkg *Package, f *ast.File) []Diagnostic {
 				switch fnName {
 				case "Now", "Since", "Until":
 					report(n, "time.%s reads the wall clock on a replay-sensitive path", fnName)
+				case "NewTicker", "Tick", "After", "AfterFunc", "NewTimer", "Sleep":
+					report(n, "time.%s schedules by the clock on a replay-sensitive path", fnName)
 				}
 			case "math/rand", "math/rand/v2":
 				switch fnName {

@@ -19,7 +19,7 @@ import (
 //   - every unbounded loop in the body (a `for` with no condition) is tied
 //     to shutdown. A loop that selects must have a case receiving from a
 //     registered shutdown channel (GoShutdownChans matches the channel's
-//     identifier, field, or method name — "quit", "stopApply", "Done" for
+//     identifier, field, or method name — "quit", or "Done" for
 //     ctx.Done()): exiting on an unregistered channel is invisible to the
 //     daemon's close sequence, so it does not count. A select-free loop may
 //     instead exit through a plain return (the transport readLoop idiom:

@@ -32,6 +32,25 @@ func Fold(m map[string]int) string {
 	return out
 }
 
+// Poll drives work from a ticker: flagged.
+func Poll(stop chan struct{}, work func()) {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+			work()
+		}
+	}
+}
+
+// Nap sleeps between attempts: flagged.
+func Nap() {
+	time.Sleep(2 * time.Millisecond)
+}
+
 // Keys is the safe collect-then-sort idiom: not flagged.
 func Keys(m map[string]int) []string {
 	keys := make([]string, 0, len(m))

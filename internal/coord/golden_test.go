@@ -166,3 +166,69 @@ func TestGoldenFederatedDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestFederatedJournalKeepsEveryLearn: sequence numbers come from each
+// engine's own journal and never restart, so across many federation epochs
+// per shard the coordinator's exact (device, seq) dedup drops nothing — its
+// learn journal holds exactly the hosts' local learn records.
+func TestFederatedJournalKeepsEveryLearn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots real devices; skip in -short")
+	}
+	coord, err := New(
+		Campaign{Models: []string{"A1", "B"}, Shards: 2, Devices: 1, Iters: 160, EpochIters: 20, Seed: 13},
+		Options{Hosts: 2, EvictAfter: time.Minute},
+	)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv := &Server{C: coord}
+	hosts := make([]*Host, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range hosts {
+		hosts[i] = NewHost(newPipeClient(t, srv), HostOptions{
+			Name:       fmt.Sprintf("host-%d", i),
+			LeaseRetry: 5 * time.Millisecond,
+		})
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = hosts[i].Run()
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("host %d: %v", i, err)
+		}
+	}
+
+	key := func(op relation.LearnOp) string { return fmt.Sprintf("%s#%d", op.Device, op.Seq) }
+	local := map[string]struct{}{}
+	for _, h := range hosts {
+		for _, op := range h.LearnJournal() {
+			if _, dup := local[key(op)]; dup {
+				t.Fatalf("host journals repeat key %s", key(op))
+			}
+			local[key(op)] = struct{}{}
+		}
+	}
+	journal := coord.LearnJournal()
+	if len(journal) != len(local) {
+		t.Fatalf("coordinator journal holds %d records, hosts recorded %d", len(journal), len(local))
+	}
+	seen := map[string]struct{}{}
+	for _, op := range journal {
+		if _, dup := seen[key(op)]; dup {
+			t.Fatalf("duplicate journal key %s", key(op))
+		}
+		seen[key(op)] = struct{}{}
+		if _, ok := local[key(op)]; !ok {
+			t.Fatalf("coordinator journal record %s was never recorded by a host", key(op))
+		}
+	}
+	if st, _ := coord.Snapshot(); st.LearnsDropped != 0 {
+		t.Fatalf("coordinator dropped %d learn records", st.LearnsDropped)
+	}
+}

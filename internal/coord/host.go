@@ -53,14 +53,13 @@ type Host struct {
 	c    *Client
 	opts HostOptions
 	d    *daemon.Daemon
-	log  *relation.Log
 
 	mu                sync.Mutex
 	id                string
 	known             corpus.HashSet // every federated program hash this host holds
 	cMark             map[string]int // per-engine corpus uplink cursors
+	lMark             map[string]int // per-engine learn journal uplink cursors
 	vMark             int            // graph vertex uplink cursor
-	lMark             int            // learn journal uplink cursor
 	epochs            uint64
 	bytesIn, bytesOut uint64
 	steals            uint64
@@ -75,11 +74,10 @@ func NewHost(c *Client, opts HostOptions) *Host {
 		c:     c,
 		opts:  opts,
 		d:     daemon.New(),
-		log:   relation.NewLog(),
 		known: corpus.NewHashSet(),
 		cMark: make(map[string]int),
+		lMark: make(map[string]int),
 	}
-	h.d.SetLearnLog(h.log)
 	if opts.Workers > 0 {
 		h.d.SetMaxWorkers(opts.Workers)
 	}
@@ -303,11 +301,13 @@ func (h *Host) importCheckpoint(ids []string, blob []byte) {
 // collectUplink gathers everything new since the previous exchange: corpus
 // admissions across every engine (deduplicated against all hashes this host
 // holds, so downlinked programs never bounce back), newly registered graph
-// vertices, and the local learn journal's fresh records.
+// vertices, and every engine's fresh learn journal records, stamped with
+// the engine's attach ID.
 func (h *Host) collectUplink() *adb.FedBatch {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	b := &adb.FedBatch{}
+	var ops []relation.LearnOp
 	for _, id := range h.d.Devices() {
 		eng := h.d.Engine(id)
 		if eng == nil {
@@ -321,6 +321,9 @@ func (h *Host) collectUplink() *adb.FedBatch {
 				b.Progs = append(b.Progs, text)
 			}
 		}
+		fresh := eng.LearnOps(id, h.lMark[id])
+		h.lMark[id] += len(fresh)
+		ops = append(ops, fresh...)
 	}
 	g := h.d.Graph()
 	names := g.Names()
@@ -332,17 +335,7 @@ func (h *Host) collectUplink() *adb.FedBatch {
 		b.Verts = append(b.Verts, adb.FedVertex{Name: name, Weight: w})
 	}
 	h.vMark = len(names)
-	ops := h.log.Since(h.lMark)
-	h.lMark = h.log.Len()
-	if fl, err := EncodeLearns(ops); err == nil {
-		b.Learns = fl
-	} else {
-		// An unencodable record (seq past uint32) fails permanently —
-		// keeping the cursor back would re-fail every epoch and pin the
-		// records behind it too. Advance, but count the loss so it shows up
-		// in the fleet status instead of vanishing silently.
-		h.learnsDropped += uint64(len(ops))
-	}
+	b.Learns = h.encodeLearns(ops)
 	h.bytesOut += uint64(BatchBytes(b))
 	if emptyBatch(b) {
 		return nil
@@ -350,11 +343,25 @@ func (h *Host) collectUplink() *adb.FedBatch {
 	return b
 }
 
+// encodeLearns packs uplink learn records. An unencodable record (seq past
+// uint32) fails permanently; the journal cursors have already moved past
+// it, so it cannot pin the records behind it, and the loss is counted so
+// it shows up in the fleet status instead of vanishing silently. Callers
+// hold h.mu.
+func (h *Host) encodeLearns(ops []relation.LearnOp) adb.FedLearns {
+	fl, err := EncodeLearns(ops)
+	if err != nil {
+		h.learnsDropped += uint64(len(ops))
+	}
+	return fl
+}
+
 // applyBatch folds a coordinator downlink into local state: programs are
 // parsed against each engine's target and admitted to its corpus (models
 // that cannot parse a foreign program skip it), and learn records go
-// straight into the shared graph — not the local journal, which holds only
-// locally generated learns and thus never re-uplinks federated ones.
+// straight into the shared graph — not into any engine's journal, which
+// holds only that engine's own learns and thus never re-uplinks federated
+// ones.
 // Downlink vertices are recorded as known but NOT added to the graph: a
 // vertex this host's models cannot generate would pollute base-call
 // selection, and Learn silently skips unknown names anyway.
@@ -430,9 +437,18 @@ func (h *Host) Fingerprint() uint64 {
 	return h.known.Fingerprint()
 }
 
-// LearnJournal returns the locally generated learn records in journal
-// order.
-func (h *Host) LearnJournal() []relation.LearnOp { return h.log.Ops() }
+// LearnJournal returns the locally generated learn records: every
+// engine's journal in attach order, stamped as collectUplink stamps them.
+// Call it only while the host is not running a shard.
+func (h *Host) LearnJournal() []relation.LearnOp {
+	var ops []relation.LearnOp
+	for _, id := range h.d.Devices() {
+		if eng := h.d.Engine(id); eng != nil {
+			ops = append(ops, eng.LearnOps(id, 0)...)
+		}
+	}
+	return ops
+}
 
 // Steals reports how many leased shards came off other hosts' queues.
 func (h *Host) Steals() uint64 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"droidfuzz/internal/adb"
+	"droidfuzz/internal/engine"
 	"droidfuzz/internal/relation"
 )
 
@@ -277,27 +278,38 @@ func TestTickEvictsStrandedFleet(t *testing.T) {
 }
 
 // TestCollectUplinkCountsEncodeDrops: an unencodable learn record (seq past
-// uint32) cannot hold the uplink cursor back forever, but its loss must be
-// counted, not silent.
+// uint32) cannot hold the uplink back, but its loss must be counted, not
+// silent. The engine journals' cursors move as they are read, so valid
+// records behind a dropped batch still ship.
 func TestCollectUplinkCountsEncodeDrops(t *testing.T) {
 	h := NewHost(nil, HostOptions{Name: "drops"})
-	h.log.Append(relation.LearnOp{A: "x", B: "y", Device: "h1/s0.0/A1", Seq: 1 << 40})
-	if b := h.collectUplink(); b != nil && b.Learns.Count != 0 {
-		t.Fatalf("unencodable record shipped anyway: %+v", b)
-	}
+	const id = "h1/s0.0/A1"
 	h.mu.Lock()
-	dropped, mark := h.learnsDropped, h.lMark
+	fl := h.encodeLearns([]relation.LearnOp{{A: "x", B: "y", Device: id, Seq: 1 << 40}})
+	dropped := h.learnsDropped
 	h.mu.Unlock()
+	if fl.Count != 0 {
+		t.Fatalf("unencodable record shipped anyway: %+v", fl)
+	}
 	if dropped != 1 {
 		t.Fatalf("learnsDropped = %d, want 1", dropped)
 	}
-	if mark != 1 {
-		t.Fatalf("uplink cursor %d, want 1 (a permanent encode failure must not wedge the uplink)", mark)
+	// Later valid records still ship: the seed learns journaled at attach.
+	if err := h.d.AddDeviceAs(id, "A1", engine.Config{Seed: 3}); err != nil {
+		t.Fatal(err)
 	}
-	// Later valid records still ship.
-	h.log.Append(relation.LearnOp{A: "x", B: "y", Device: "h1/s0.0/A1", Seq: 0})
+	want := len(h.d.Engine(id).LearnOps(id, 0))
+	if want == 0 {
+		t.Fatal("seeding journaled no learns")
+	}
 	b := h.collectUplink()
-	if b == nil || b.Learns.Count != 1 {
-		t.Fatalf("valid record after a dropped one did not ship: %+v", b)
+	if b == nil || b.Learns.Count != want {
+		t.Fatalf("valid records after a dropped one did not ship: %+v, want %d", b, want)
+	}
+	h.mu.Lock()
+	mark, dropped := h.lMark[id], h.learnsDropped
+	h.mu.Unlock()
+	if mark != want || dropped != 1 {
+		t.Fatalf("uplink cursor %d (want %d), learnsDropped %d (want 1)", mark, want, dropped)
 	}
 }

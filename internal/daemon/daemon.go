@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"droidfuzz/internal/adb"
 	"droidfuzz/internal/baseline"
@@ -43,9 +42,6 @@ type Daemon struct {
 	// wire-frame + summary-uplink mode. Both zero is the serial schedule.
 	pipelineDepth int
 	batchSize     int
-	// learnLog, when set, journals every learn op the parallel applier
-	// lands in the shared graph — the federation uplink's export feed.
-	learnLog *relation.Log
 	// fleet is the multi-host status block a coordinator host publishes;
 	// an atomic pointer keeps WriteStatus's never-blocks guarantee.
 	fleet atomic.Pointer[FleetStatus]
@@ -185,23 +181,20 @@ func (d *Daemon) SetBatchSize(n int) {
 	d.mu.Unlock()
 }
 
-// SetLearnLog journals every learn op the parallel applier lands in the
-// shared graph into l (nil disables journaling). A coordinator host sets
-// one so the federation uplink can export (device, seq)-stamped learn
-// records exactly as they were applied locally.
-func (d *Daemon) SetLearnLog(l *relation.Log) {
-	d.mu.Lock()
-	d.learnLog = l
-	d.mu.Unlock()
-}
-
 // Run executes iters fuzzing iterations on every attached engine. With
 // parallel set, engines are distributed over a bounded worker pool (at most
 // SetMaxWorkers goroutines, defaulting to GOMAXPROCS — the deployment shape
-// of §IV-A without one unbounded goroutine per device); otherwise one after
-// another in attach order, which under the default serial schedule is
-// deterministic for a fixed set of seeds. Either way every engine runs the
-// schedule SetPipelineDepth and SetBatchSize shape.
+// of §IV-A without one unbounded goroutine per device); otherwise the pool
+// has one worker, which runs the engines one after another in attach
+// order. Either way every engine runs the schedule SetPipelineDepth and
+// SetBatchSize shape.
+//
+// Each engine journals its own relation learns and lands them in the
+// shared graph at the end of every executor call, so a one-engine run — or
+// a serial one — is deterministic per seed, and every learn is in the graph
+// when Run returns. Engines running side by side land in whatever order
+// their calls finish, so a parallel fleet of several engines does not
+// replay.
 func (d *Daemon) Run(iters int, parallel bool) {
 	_ = d.RunOn(nil, iters, parallel)
 }
@@ -213,8 +206,7 @@ func (d *Daemon) Run(iters int, parallel bool) {
 func (d *Daemon) RunOn(ids []string, iters int, parallel bool) error {
 	d.mu.Lock()
 	if ids == nil {
-		ids = make([]string, len(d.order))
-		copy(ids, d.order)
+		ids = d.order
 	}
 	engines := make([]*engine.Engine, 0, len(ids))
 	for _, id := range ids {
@@ -228,59 +220,15 @@ func (d *Daemon) RunOn(ids []string, iters int, parallel bool) error {
 	workers := d.maxWorkers
 	depth := d.pipelineDepth
 	batch := d.batchSize
-	llog := d.learnLog
 	d.mu.Unlock()
 
-	if !parallel {
-		for _, e := range engines {
-			e.RunSchedule(iters, depth, batch)
-		}
-		return nil
-	}
-	if workers <= 0 {
+	switch {
+	case !parallel:
+		workers = 1
+	case workers <= 0:
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(engines) {
-		workers = len(engines)
-	}
-
-	// Parallel campaigns buffer relation learns per engine; the applier
-	// goroutine below periodically drains every buffer into the shared
-	// graph in (device, sequence) order. Engines therefore never contend
-	// on the graph lock mid-step — their generators read published
-	// snapshots, and learning is append-to-own-buffer. With a learn log
-	// set, every applied op is journaled in its applied batch order — the
-	// export feed federation uplinks slice by index.
-	bufs := make([]*relation.LearnBuffer, len(engines))
-	for i, e := range engines {
-		bufs[i] = relation.NewLearnBuffer(ids[i])
-		e.SetLearnBuffer(bufs[i])
-	}
-	apply := func() {
-		ops := relation.DrainAll(bufs...)
-		if len(ops) == 0 {
-			return
-		}
-		d.graph.ApplyOps(ops)
-		if llog != nil {
-			llog.Append(ops...)
-		}
-	}
-	stopApply := make(chan struct{})
-	applierDone := make(chan struct{})
-	go func() {
-		defer close(applierDone)
-		tick := time.NewTicker(learnApplyInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stopApply:
-				return
-			case <-tick.C:
-				apply()
-			}
-		}
-	}()
+	workers = min(workers, len(engines))
 
 	queue := make(chan *engine.Engine)
 	var wg sync.WaitGroup
@@ -298,39 +246,30 @@ func (d *Daemon) RunOn(ids []string, iters int, parallel bool) error {
 	}
 	close(queue)
 	wg.Wait()
-
-	close(stopApply)
-	<-applierDone
-	// Final drain: everything recorded after the applier's last tick still
-	// lands in the graph before Run returns, and the engines go back to
-	// synchronous learning for any subsequent serial run.
-	apply()
-	for _, e := range engines {
-		e.SetLearnBuffer(nil)
-	}
 	return nil
 }
 
-// learnApplyInterval is the applier's drain cadence during parallel runs.
-// Learns are advisory guidance, not safety state: a few milliseconds of lag
-// costs nothing, while draining too eagerly would re-serialize the fleet on
-// the graph lock.
-const learnApplyInterval = 2 * time.Millisecond
+// attached returns the attached engine IDs and engines in attach order,
+// copied under the daemon lock so callers can use them unlocked.
+func (d *Daemon) attached() ([]string, []*engine.Engine) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	engines := make([]*engine.Engine, len(d.order))
+	for i, id := range d.order {
+		engines[i] = d.engines[id]
+	}
+	return slices.Clone(d.order), engines
+}
 
-// Stats snapshots all engines' counters keyed by model ID. The engine map
-// is copied under the daemon lock, then every engine is queried unlocked —
+// Stats snapshots all engines' counters keyed by model ID. The engines are
+// listed under the daemon lock, then every engine is queried unlocked —
 // engine counters are atomics, so a mid-campaign stats poll reads
 // consistent values without stalling any engine goroutine.
 func (d *Daemon) Stats() map[string]engine.Stats {
-	d.mu.Lock()
-	engines := make(map[string]*engine.Engine, len(d.engines))
-	for id, e := range d.engines {
-		engines[id] = e
-	}
-	d.mu.Unlock()
+	ids, engines := d.attached()
 	out := make(map[string]engine.Stats, len(engines))
-	for id, e := range engines {
-		out[id] = e.Stats()
+	for i, e := range engines {
+		out[ids[i]] = e.Stats()
 	}
 	return out
 }
@@ -338,17 +277,9 @@ func (d *Daemon) Stats() map[string]engine.Stats {
 // SaveCorpora persists every engine's corpus under dir/<modelID>/. File
 // I/O runs outside the daemon lock.
 func (d *Daemon) SaveCorpora(dir string) error {
-	d.mu.Lock()
-	ids := make([]string, len(d.order))
-	copy(ids, d.order)
-	engines := make(map[string]*engine.Engine, len(d.engines))
-	for id, e := range d.engines {
-		engines[id] = e
-	}
-	d.mu.Unlock()
-	slices.Sort(ids)
-	for _, id := range ids {
-		if err := engines[id].Corpus().Save(filepath.Join(dir, id)); err != nil {
+	ids, engines := d.attached()
+	for i, e := range engines {
+		if err := e.Corpus().Save(filepath.Join(dir, ids[i])); err != nil {
 			return err
 		}
 	}
@@ -446,8 +377,11 @@ type bugSummary struct {
 // WriteStatus emits a machine-readable status snapshot as JSON, the feed a
 // monitoring dashboard would poll.
 func (d *Daemon) WriteStatus(w io.Writer) error {
-	rep := statusReport{Devices: d.Stats(), Fleet: d.fleet.Load()}
-	for _, st := range rep.Devices {
+	ids, engines := d.attached()
+	rep := statusReport{Devices: make(map[string]engine.Stats, len(ids)), Fleet: d.fleet.Load()}
+	for i, e := range engines {
+		st := e.Stats()
+		rep.Devices[ids[i]] = st
 		rep.ExecErrors += st.ExecErrors
 		rep.ParamWrites += st.ParamWrites
 		rep.LineageExecs += st.LineageExecs
@@ -471,22 +405,14 @@ func (d *Daemon) WriteStatus(w io.Writer) error {
 // the matching engines, returning per-device load counts. File I/O runs
 // outside the daemon lock.
 func (d *Daemon) LoadCorpora(dir string) (map[string]int, error) {
-	d.mu.Lock()
-	ids := make([]string, len(d.order))
-	copy(ids, d.order)
-	engines := make(map[string]*engine.Engine, len(d.engines))
-	for id, e := range d.engines {
-		engines[id] = e
-	}
-	d.mu.Unlock()
+	ids, engines := d.attached()
 	out := make(map[string]int)
-	for _, id := range ids {
-		eng := engines[id]
-		n, err := eng.Corpus().Load(filepath.Join(dir, id), eng.Gen().Target())
+	for i, eng := range engines {
+		n, err := eng.Corpus().Load(filepath.Join(dir, ids[i]), eng.Gen().Target())
 		if err != nil {
 			return out, err
 		}
-		out[id] = n
+		out[ids[i]] = n
 	}
 	return out, nil
 }

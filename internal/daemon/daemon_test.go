@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"droidfuzz/internal/corpus"
 	"droidfuzz/internal/engine"
 	"droidfuzz/internal/relation"
 )
@@ -249,38 +250,47 @@ func TestAddDeviceAsAndRunOn(t *testing.T) {
 	}
 }
 
-// TestRunOnJournalsLearnLog checks the applier's export feed: with a learn
-// log set, parallel runs journal the applied ops, and replaying the journal
-// into a fresh graph with the same vertex set reproduces the shared graph's
-// learn count.
+// TestRunOnJournalsLearnLog checks the engine journal as the federation
+// export feed: runs journal every learn under the engine's attach ID with
+// sequence numbers that continue across RunOn calls, every journaled learn
+// has landed in the shared graph when RunOn returns, and replaying the
+// journal into a fresh graph with the same vertex set reproduces the shared
+// graph's learn count.
 func TestRunOnJournalsLearnLog(t *testing.T) {
+	const id = "h1/s0.0/A1"
 	d := New()
-	if err := d.AddDeviceAs("h1/s0.0/A1", "A1", engine.Config{Seed: 5}); err != nil {
+	if err := d.AddDeviceAs(id, "A1", engine.Config{Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	llog := relation.NewLog()
-	d.SetLearnLog(llog)
+	eng := d.Engine(id)
 	learnedBefore := d.Graph().Learns()
-	if err := d.RunOn(nil, 400, true); err != nil {
-		t.Fatal(err)
+	cursor := len(eng.LearnOps(id, 0))
+	for run := 0; run < 2; run++ {
+		if err := d.RunOn(nil, 200, true); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ops := llog.Ops()
+	ops := eng.LearnOps(id, cursor)
 	if len(ops) == 0 {
-		t.Skip("campaign produced no buffered learns at this budget")
+		t.Skip("campaign produced no learns at this budget")
 	}
-	// The journal records every buffered op; the graph's learn counter
-	// skips self-pairs, so it can only trail the journal.
+	// The journal records every learn; the graph's learn counter skips
+	// self-pairs, so it can only trail the journal.
 	learned := d.Graph().Learns() - learnedBefore
 	if uint64(len(ops)) < learned {
 		t.Fatalf("journal has %d ops but the graph learned %d", len(ops), learned)
 	}
-	for _, op := range ops {
-		if op.Device != "h1/s0.0/A1" {
+	for i, op := range ops {
+		if op.Device != id {
 			t.Fatalf("journaled op carries device %q", op.Device)
+		}
+		if op.Seq != uint64(cursor+i) {
+			t.Fatalf("op %d has seq %d, want %d: sequence numbers must never reset", i, op.Seq, cursor+i)
 		}
 	}
 	// Replaying the journal into a fresh graph with the same vertex set
-	// reproduces the learn count — the skip behavior is deterministic.
+	// reproduces the learn count — every op landed, and the skip behavior
+	// is deterministic.
 	replica := relation.New()
 	for _, name := range d.Graph().Names() {
 		replica.AddVertex(name, d.Graph().Vertex(name).Weight)
@@ -288,6 +298,38 @@ func TestRunOnJournalsLearnLog(t *testing.T) {
 	relation.Replay(replica, ops)
 	if replica.Learns() != learned {
 		t.Fatalf("replayed graph learned %d, campaign learned %d", replica.Learns(), learned)
+	}
+}
+
+// TestLookaheadRunReplaysItself: a one-engine parallel run under a
+// pipelined, batched schedule lands its learns at executor-call
+// boundaries, never on a clock, so fresh daemons with the same seed end
+// with the same corpus and relation table.
+func TestLookaheadRunReplaysItself(t *testing.T) {
+	type outcome struct {
+		corpus        uint64
+		edges         int
+		learns, execs uint64
+	}
+	run := func() outcome {
+		d := New()
+		if err := d.AddDevice("A1", engine.Config{Seed: 11}); err != nil {
+			t.Fatal(err)
+		}
+		d.SetPipelineDepth(4)
+		d.SetBatchSize(16)
+		d.Run(4000, true)
+		set := corpus.NewHashSet()
+		for _, text := range d.Engine("A1").Corpus().Texts(0) {
+			set.Add(corpus.Hash(text))
+		}
+		return outcome{set.Fingerprint(), d.Graph().Edges(), d.Graph().Learns(), d.Engine("A1").Execs()}
+	}
+	first := run()
+	for i := 0; i < 2; i++ {
+		if again := run(); again != first {
+			t.Fatalf("repeat %d diverged:\n first %+v\n again %+v", i+1, first, again)
+		}
 	}
 }
 

@@ -152,12 +152,18 @@ type Engine struct {
 	bx adb.BatchExecutor
 	cl adb.Cloner
 
-	// learnTo receives the engine's relation learns: the graph itself
-	// (serial campaigns learn synchronously — Learn-before-Decay order is
-	// part of the golden schedule), or the daemon's per-engine buffer during
-	// a parallel campaign, which the daemon applies in deterministic
-	// (device, sequence) order.
-	learnTo learner
+	// journal is the engine's append-only relation learn journal: every
+	// dependency pair learn records, in order. A pair's index is its
+	// sequence number and never resets. The first landed pairs are in the
+	// shared graph; land applies the rest.
+	journal [][2]string
+	landed  int
+
+	// prng and pgen are the look-ahead producer's RNG and generator,
+	// created once per engine so successive RunSchedule calls continue one
+	// draw stream instead of replaying it.
+	prng *rand.Rand
+	pgen *gen.Generator
 
 	// pristine caches the campaign's pristine checkpoint blob so lineage
 	// fan-outs can wind the device back without re-exporting it every
@@ -189,6 +195,7 @@ func New(x adb.Executor, graph *relation.Graph, dedup *crash.Dedup, cfg Config) 
 	cfg.defaults()
 	target := x.Target()
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	prng := rand.New(rand.NewSource(int64(uint64(cfg.Seed) ^ pipelineSalt)))
 	var spec *feedback.SpecTable
 	if !cfg.NoHALCov {
 		spec = feedback.NewSpecTable(target)
@@ -208,10 +215,11 @@ func New(x adb.Executor, graph *relation.Graph, dedup *crash.Dedup, cfg Config) 
 		dedup:  dedup,
 		rng:    rng,
 		cfg:    cfg,
+		prng:   prng,
+		pgen:   gen.New(target, graph, prng, cfg.Gen),
 	}
 	e.bx, _ = x.(adb.BatchExecutor)
 	e.cl, _ = x.(adb.Cloner)
-	e.learnTo = graph
 	// Best-effort identity snapshot: the in-process broker always answers;
 	// a resilient remote client answers from its handshake cache even when
 	// the link is down.
@@ -221,22 +229,6 @@ func New(x adb.Executor, graph *relation.Graph, dedup *crash.Dedup, cfg Config) 
 		e.restores.Store(int64(info.Restores))
 	}
 	return e
-}
-
-// learner is the relation-learn sink: *relation.Graph or
-// *relation.LearnBuffer.
-type learner interface{ Learn(a, b string) }
-
-// SetLearnBuffer routes subsequent relation learns into buf (parallel
-// campaigns) or, when buf is nil, back to synchronous graph learning. The
-// daemon calls it before starting and after finishing a parallel run; it
-// must not be called while the engine is running.
-func (e *Engine) SetLearnBuffer(buf *relation.LearnBuffer) {
-	if buf == nil {
-		e.learnTo = e.graph
-		return
-	}
-	e.learnTo = buf
 }
 
 // Corpus exposes the engine's corpus (persistence, tests).
@@ -361,7 +353,7 @@ func (e *Engine) afterExec(p *dsl.Prog, res *adb.ExecResult, err error) (*adb.Ex
 // SeedCorpus executes the given programs and admits them to the corpus
 // unminimized, bootstrapping fuzzing with realistic workloads (the distilled
 // framework traces from the probing pass). Relations are learned from their
-// call orders.
+// call orders and land in the graph before SeedCorpus returns.
 func (e *Engine) SeedCorpus(progs []*dsl.Prog) {
 	for _, p := range progs {
 		res, sig := e.exec(p)
@@ -378,6 +370,7 @@ func (e *Engine) SeedCorpus(progs []*dsl.Prog) {
 			e.learn(p)
 		}
 	}
+	e.land()
 }
 
 // pending is one selected program awaiting execution.
@@ -450,6 +443,7 @@ func (e *Engine) feed(p *dsl.Prog, generated bool, res *adb.ExecResult, sig *fee
 	}
 
 	if e.execs.Load()%e.cfg.DecayEvery == 0 {
+		e.land()
 		e.graph.Decay(e.cfg.DecayFactor, 0.01)
 	}
 	if e.execs.Load()%snapshotEvery == 0 {
@@ -498,7 +492,11 @@ const DefaultBatchSize = 16
 // one program per call under the same look-ahead. Results are fed back
 // per program in order; a mid-batch crash reboots the device while the
 // rest of the batch still runs, so batched crash timing is coarsened to
-// batch granularity (see DESIGN.md).
+// batch granularity (see DESIGN.md). Relation learns are journaled during
+// the fold and land in the shared graph per executor call (see land).
+//
+// The producer's RNG and generator belong to the engine, so a campaign cut
+// into several RunSchedule calls continues one producer draw stream.
 func (e *Engine) RunSchedule(n, depth, batch int) {
 	batch = max(batch, 1)
 	depth = max(depth, 0)
@@ -543,8 +541,6 @@ type pipeView struct {
 // At most lookahead views are ever outstanding (prefilled, plus one per fed
 // item, minus one per produced item), so the hook never blocks.
 func (e *Engine) produce(n, lookahead int) (next func() pending, fed func()) {
-	prng := rand.New(rand.NewSource(int64(uint64(e.cfg.Seed) ^ pipelineSalt)))
-	pgen := gen.New(e.target, e.graph, prng, e.cfg.Gen)
 	ch := make(chan pending, lookahead)
 	views := make(chan pipeView, lookahead)
 	v0 := pipeView{snap: e.graph.Snapshot(), corpusLen: e.corpus.Len()}
@@ -554,8 +550,8 @@ func (e *Engine) produce(n, lookahead int) (next func() pending, fed func()) {
 	go func() {
 		for i := 0; i < n; i++ {
 			v := <-views
-			pgen.SetView(v.snap)
-			ch <- e.nextFrom(prng, pgen, v.corpusLen)
+			e.pgen.SetView(v.snap)
+			ch <- e.nextFrom(e.prng, e.pgen, v.corpusLen)
 		}
 	}()
 	done := 0
@@ -571,9 +567,11 @@ func (e *Engine) produce(n, lookahead int) (next func() pending, fed func()) {
 // ships the items — through ExecProg when batch is 1, otherwise through
 // ExecBatch with each program serialized once (retries inside a resilient
 // executor reuse the same text) — and folds every result back in order,
-// calling fed after each. Programs a batch failed to cover (a transport
-// error after retries, a broker rejection) count as ExecErrors, exactly
-// like a failed single execution.
+// calling fed after each. The call's journaled learns land once the last
+// result is fed back, before its fed hook captures the next view.
+// Programs a batch failed to cover (a transport error after retries, a
+// broker rejection) count as ExecErrors, exactly like a failed single
+// execution.
 func (e *Engine) execBatch(items []pending, batch int, fed func()) {
 	e.resetBefore(batch)
 	if batch == 1 {
@@ -581,6 +579,7 @@ func (e *Engine) execBatch(items []pending, batch int, fed func()) {
 		res, err := e.x.ExecProg(it.p)
 		res, sig := e.afterExec(it.p, res, err)
 		e.feed(it.p, it.generated, res, sig)
+		e.land()
 		fed()
 		return
 	}
@@ -597,6 +596,9 @@ func (e *Engine) execBatch(items []pending, batch int, fed func()) {
 		}
 		res, sig := e.afterExec(it.p, res, err)
 		e.feed(it.p, it.generated, res, sig)
+		if i == len(items)-1 {
+			e.land()
+		}
 		fed()
 	}
 }
@@ -715,12 +717,38 @@ func (e *Engine) crashesWith(p *dsl.Prog, title string) bool {
 	return hit
 }
 
-// learn records the adjacent-pair dependencies of a minimized program into
-// the relation graph (paper Eq. (1)) through the engine's learn sink —
-// the graph itself in serial campaigns, the daemon-applied buffer in
-// parallel ones so the shared graph is never locked on the hot path.
+// learn journals the adjacent-pair dependencies of a minimized program
+// (paper Eq. (1)); land applies them to the relation graph.
 func (e *Engine) learn(p *dsl.Prog) {
 	for i := 1; i < p.Len(); i++ {
-		e.learnTo.Learn(p.Calls[i-1].Desc.Name, p.Calls[i].Desc.Name)
+		e.journal = append(e.journal, [2]string{p.Calls[i-1].Desc.Name, p.Calls[i].Desc.Name})
 	}
+}
+
+// land applies the journal's pending pairs to the shared graph in journal
+// order. The loop lands once an executor call's results have all been fed
+// back, and feed lands before a decay or a lineage view capture, so the
+// graph sees the engine's learns in the order they were made relative to
+// its own decays and views; with batch 1 that is where a synchronous
+// learn would land. With nothing pending it costs no lock and no
+// allocation.
+func (e *Engine) land() {
+	for _, p := range e.journal[e.landed:] {
+		e.graph.Learn(p[0], p[1])
+	}
+	e.landed = len(e.journal)
+}
+
+// LearnOps returns the journaled pairs from sequence number from on as
+// learn records stamped with device — the feed a federation uplink reads
+// by cursor. Call it only while the engine is not running.
+func (e *Engine) LearnOps(device string, from int) []relation.LearnOp {
+	if from >= len(e.journal) {
+		return nil
+	}
+	ops := make([]relation.LearnOp, 0, len(e.journal)-from)
+	for i, p := range e.journal[from:] {
+		ops = append(ops, relation.LearnOp{A: p[0], B: p[1], Device: device, Seq: uint64(from + i)})
+	}
+	return ops
 }

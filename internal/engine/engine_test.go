@@ -300,3 +300,38 @@ func TestEngineSeedReplayIdenticalCorpus(t *testing.T) {
 		}
 	}
 }
+
+// blindExec records every program it is asked to run and reports an empty
+// result, so the engine never admits or learns anything: its state is the
+// same before and after a RunSchedule call.
+type blindExec struct {
+	*adb.Broker
+	progs []string
+}
+
+func (b *blindExec) ExecProg(p *dsl.Prog) (*adb.ExecResult, error) {
+	b.progs = append(b.progs, p.String())
+	return adb.GetResult(), nil
+}
+
+// TestProducerStreamCarriesAcrossCalls: the look-ahead producer's RNG
+// belongs to the engine, so a second RunSchedule call continues the draw
+// stream instead of re-deriving it from the seed. With engine state frozen
+// by an executor that reports nothing, a re-derived stream would replay the
+// first call's programs exactly.
+func TestProducerStreamCarriesAcrossCalls(t *testing.T) {
+	x := &blindExec{Broker: newBroker(t, "A1")}
+	e := engine.New(x, relation.New(), crash.NewDedup(), engine.Config{Seed: 21})
+	const n = 50
+	e.RunSchedule(n, 4, 1)
+	e.RunSchedule(n, 4, 1)
+	if len(x.progs) != 2*n {
+		t.Fatalf("executed %d programs, want %d", len(x.progs), 2*n)
+	}
+	if st := e.Stats(); st.CorpusSize != 0 || e.Graph().Learns() != 0 {
+		t.Fatalf("blind executor still grew engine state: %+v", st)
+	}
+	if strings.Join(x.progs[:n], "\n") == strings.Join(x.progs[n:], "\n") {
+		t.Fatal("second RunSchedule replayed the first call's producer stream")
+	}
+}

@@ -120,6 +120,7 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 		return
 	}
 
+	e.land()
 	view := pipeView{snap: e.graph.Snapshot(), corpusLen: e.corpus.Len()}
 	salt := progSalt(prefix)
 	for k := 0; k < e.cfg.LineageK; k++ {

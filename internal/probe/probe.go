@@ -306,7 +306,7 @@ func applyStrWeights(params []*dsl.CallDesc, strCounts map[string]map[string]int
 			continue
 		}
 		maxCount := 0
-		for _, c := range seen {
+		for _, c := range seen { //droidvet:nondet a max fold is order-independent
 			if c > maxCount {
 				maxCount = c
 			}

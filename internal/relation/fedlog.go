@@ -1,14 +1,52 @@
 package relation
 
-import "sync"
+import (
+	"sort"
+	"sync"
+)
 
-// Log is an append-only journal of learn records. Two places keep one: a
-// federated host journals the ops its applier lands in the local graph (the
-// uplink reads suffixes by index), and the coordinator journals every op
-// accepted from the fleet — its merged graph is *defined* as the replay of
-// that journal, which is what makes federation merge commutative: however
-// batches arrive, the deduplicated journal sorts to the same (device, seq)
-// sequence and replays to the same graph.
+// LearnOp is one learn record: the ordered dependency pair plus the
+// (device, sequence) key federation merges on. Each engine journals its
+// own learns; a record's sequence number is its index in that journal.
+type LearnOp struct {
+	A, B   string
+	Device string
+	Seq    uint64
+}
+
+// SortOps orders ops by (device ID, sequence) in place — the total order
+// every federated replay applies learns under. (device, seq) pairs are
+// unique fleet-wide (device IDs carry the host prefix), so the order is
+// total and the sort deterministic.
+func SortOps(ops []LearnOp) {
+	sort.Slice(ops, func(i, j int) bool {
+		if ops[i].Device != ops[j].Device {
+			return ops[i].Device < ops[j].Device
+		}
+		return ops[i].Seq < ops[j].Seq
+	})
+}
+
+// ApplyOps sorts ops by (device, sequence) in place and applies them, so
+// the application order — and therefore the resulting edge weights, which
+// Eq. (1) makes order-sensitive — depends only on what was recorded, never
+// on arrival order. It returns the number of ops applied.
+func (g *Graph) ApplyOps(ops []LearnOp) int {
+	if len(ops) == 0 {
+		return 0
+	}
+	SortOps(ops)
+	for _, op := range ops {
+		g.Learn(op.A, op.B)
+	}
+	return len(ops)
+}
+
+// Log is an append-only journal of learn records. The coordinator keeps
+// one of every op accepted from the fleet: its merged graph is *defined* as
+// the replay of that journal, which is what makes federation merge
+// commutative — however batches arrive, the deduplicated journal sorts to
+// the same (device, seq) sequence and replays to the same graph.
 type Log struct {
 	mu  sync.Mutex
 	ops []LearnOp

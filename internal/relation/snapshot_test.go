@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -100,10 +101,10 @@ func TestSnapshotMatchesGraphReads(t *testing.T) {
 	}
 }
 
-// TestLearnBufferOrdering: buffered ops apply in (device, sequence) order
-// regardless of which buffer is drained first, matching a graph that ran
-// the same ops synchronously in that order.
-func TestLearnBufferOrdering(t *testing.T) {
+// TestApplyOpsOrdering: learn records apply in (device, sequence) order
+// regardless of the order they arrive in, matching a graph that ran the
+// same learns synchronously in that order.
+func TestApplyOpsOrdering(t *testing.T) {
 	seed := func() *Graph {
 		g := New()
 		for _, n := range []string{"a", "b", "c", "d"} {
@@ -112,20 +113,21 @@ func TestLearnBufferOrdering(t *testing.T) {
 		return g
 	}
 
-	bufA := NewLearnBuffer("A1")
-	bufB := NewLearnBuffer("B")
-	// Interleave recording so drain order ≠ recording order.
-	bufB.Learn("c", "d")
-	bufA.Learn("a", "b")
-	bufB.Learn("a", "d")
-	bufA.Learn("b", "d")
-
-	buffered := seed()
-	if n := buffered.ApplyBuffered(bufB, bufA); n != 4 {
+	// Interleave the records so arrival order ≠ (device, seq) order.
+	ops := []LearnOp{
+		{A: "c", B: "d", Device: "B", Seq: 0},
+		{A: "a", B: "b", Device: "A1", Seq: 0},
+		{A: "a", B: "d", Device: "B", Seq: 1},
+		{A: "b", B: "d", Device: "A1", Seq: 1},
+	}
+	applied := seed()
+	if n := applied.ApplyOps(ops); n != 4 {
 		t.Fatalf("applied %d ops, want 4", n)
 	}
-	if bufA.Len() != 0 || bufB.Len() != 0 {
-		t.Fatal("buffers not drained")
+	for i, want := range []string{"A1#0", "A1#1", "B#0", "B#1"} {
+		if got := fmt.Sprintf("%s#%d", ops[i].Device, ops[i].Seq); got != want {
+			t.Fatalf("ops[%d] = %s after ApplyOps, want %s (sorted in place)", i, got, want)
+		}
 	}
 
 	reference := seed()
@@ -137,13 +139,13 @@ func TestLearnBufferOrdering(t *testing.T) {
 
 	for _, a := range reference.Names() {
 		for _, b := range reference.Names() {
-			if got, want := buffered.EdgeWeight(a, b), reference.EdgeWeight(a, b); got != want {
-				t.Fatalf("edge %s->%s: buffered %g, reference %g", a, b, got, want)
+			if got, want := applied.EdgeWeight(a, b), reference.EdgeWeight(a, b); got != want {
+				t.Fatalf("edge %s->%s: applied %g, reference %g", a, b, got, want)
 			}
 		}
 	}
-	if buffered.Learns() != reference.Learns() {
-		t.Fatalf("learn counters diverge: %d vs %d", buffered.Learns(), reference.Learns())
+	if applied.Learns() != reference.Learns() {
+		t.Fatalf("learn counters diverge: %d vs %d", applied.Learns(), reference.Learns())
 	}
 }
 
@@ -173,13 +175,14 @@ func TestSnapshotConcurrentReadsAndMutations(t *testing.T) {
 			}
 		}(int64(r + 1))
 	}
-	buf := NewLearnBuffer("A1")
+	var ops []LearnOp
 	for i := 0; i < 500; i++ {
 		g.Learn("a", "b")
-		buf.Learn("b", "c")
+		ops = append(ops, LearnOp{A: "b", B: "c", Device: "A1", Seq: uint64(i)})
 		if i%50 == 0 {
 			g.Decay(0.9, 0.01)
-			g.ApplyBuffered(buf)
+			g.ApplyOps(ops)
+			ops = ops[:0]
 		}
 	}
 	close(stop)

@@ -18,7 +18,8 @@
 #           lineage_execs > 0, and total execs exceed lineage execs.
 #   coord   droidcoordd with two droidfleet -coord hosts: equal nonzero
 #           corpus fingerprints, every shard done, federation bytes in both
-#           directions, and no host left undrained.
+#           directions, a nonempty coordinator learn journal, no learn
+#           record dropped by a host, and no host left undrained.
 #
 # Usage: scripts/smoke.sh [remote|params|clone|coord]   (no argument: all)
 #
@@ -80,7 +81,7 @@ wait_ready() {
 #   check remote LABEL BUDGET STATUS [FLEETLOG]  (FLEETLOG: wire lines)
 #   check params LABEL BUDGET STATUS
 #   check clone  LABEL BUDGET STATUS
-#   check coord  LABEL STATUS_A STATUS_B
+#   check coord  LABEL STATUS_A STATUS_B COORDLOG
 check() {
     python3 - "$@" <<'PY'
 import json, re, sys
@@ -109,9 +110,16 @@ if scenario == "coord":
                 fail(f"host {name} shard {sh['id']} state {sh['state']!r}, want done")
         if rep.get("fed_bytes_out", 0) <= 0 or rep.get("fed_bytes_in", 0) <= 0:
             fail(f"host {name} moved no federation bytes")
+        if rep.get("learns_dropped", 0) != 0:
+            fail(f"host {name} dropped {rep['learns_dropped']} learn records")
+    journal = [int(m[1]) for m in re.finditer(r"journal=(\d+) ops", open(args[2]).read())]
+    if not journal:
+        fail("coordinator log has no journal=N ops line")
+    if journal[-1] <= 0:
+        fail(f"coordinator learn journal holds {journal[-1]} ops, want > 0")
     print(f"OK({scenario}/{label}): corpus_hash={a['corpus_hash']:#x} "
           f"shards={len(a['shards'])}+{len(b['shards'])} "
-          f"steals={a.get('steals', 0) + b.get('steals', 0)}")
+          f"steals={a.get('steals', 0) + b.get('steals', 0)} journal={journal[-1]}")
     sys.exit()
 
 # Single-host fleets of A1 and B: both engines reach the iteration budget
@@ -242,7 +250,7 @@ smoke_coord() {
         cat "$log" >&2
         fail "coord/$build: coordinator reported undrained hosts"
     fi
-    check coord "$build" "$WORK/coord_A_$build.json" "$WORK/coord_B_$build.json"
+    check coord "$build" "$WORK/coord_A_$build.json" "$WORK/coord_B_$build.json" "$log"
 }
 
 # Port layout above SMOKE_PORT: remote takes 0-3, coord 4-5.
