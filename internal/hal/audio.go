@@ -19,7 +19,7 @@ type audioStream struct {
 // Audio is the primary audio HAL: output-stream management over the PCM
 // driver using the validated (non-low-latency) configuration path.
 type Audio struct {
-	*Base
+	Base
 	sys  *Sys
 	bugs bugs.Set
 
@@ -31,28 +31,30 @@ type Audio struct {
 	routings uint64
 }
 
+var audioTable = newTable(AudioDescriptor, "Audio", []op[Audio]{
+	{sig("openOutput", "hal_audio",
+		argFlags("rate", 8000, 16000, 44100, 48000, 96000),
+		argInt("channels", 1, 8)), (*Audio).openOutput},
+	{sig("writeAudio", "",
+		argRes("stream", "hal_audio"), argBuf("frames", 1024)), (*Audio).writeAudio},
+	{sig("setVolume", "",
+		argInt("volume", 0, 100)), (*Audio).setVolume},
+	{sig("standby", "",
+		argRes("stream", "hal_audio")), (*Audio).standby},
+	{sig("getPosition", "",
+		argRes("stream", "hal_audio")), (*Audio).getPosition},
+})
+
 // NewAudio constructs the audio HAL over the given syscall facade.
 func NewAudio(sys *Sys, b bugs.Set) *Audio {
 	a := &Audio{
-		Base:    NewBase(AudioDescriptor, "Audio"),
 		sys:     sys,
 		bugs:    b,
 		pcmFD:   -1,
 		streams: make(map[uint64]*audioStream),
 		nextID:  1,
 	}
-	a.Register(sig("openOutput", "hal_audio",
-		argFlags("rate", 8000, 16000, 44100, 48000, 96000),
-		argInt("channels", 1, 8)), a.openOutput)
-	a.Register(sig("writeAudio", "",
-		argRes("stream", "hal_audio"), argBuf("frames", 1024)), a.writeAudio)
-	a.Register(sig("setVolume", "",
-		argInt("volume", 0, 100)), a.setVolume)
-	a.Register(sig("standby", "",
-		argRes("stream", "hal_audio")), a.standby)
-	a.Register(sig("getPosition", "",
-		argRes("stream", "hal_audio")), a.getPosition)
-	a.RegisterDiagnostics()
+	a.Base = Base{audioTable, a}
 	return a
 }
 

@@ -26,7 +26,7 @@ type stream struct {
 // buffer early; a subsequent captureFrame dereferences it and the process
 // segfaults.
 type Camera struct {
-	*Base
+	Base
 	sys  *Sys
 	bugs bugs.Set
 
@@ -36,32 +36,34 @@ type Camera struct {
 	nextStream uint64
 }
 
+var cameraTable = newTable(CameraDescriptor, "Camera", []op[Camera]{
+	{sig("openStream", "hal_stream",
+		argFlags("width", 640, 1280, 1920, 3840),
+		argFlags("height", 480, 720, 1080, 2160),
+		argFlags("format", drivers.PixFmtYUYV, drivers.PixFmtNV12, drivers.PixFmtMJPG)), (*Camera).openStream},
+	{sig("startCapture", "",
+		argRes("stream", "hal_stream")), (*Camera).startCapture},
+	{sig("captureFrame", "",
+		argRes("stream", "hal_stream")), (*Camera).captureFrame},
+	{sig("stopCapture", "",
+		argRes("stream", "hal_stream")), (*Camera).stopCapture},
+	{sig("setParameter", "",
+		argRes("stream", "hal_stream"),
+		argInt("id", 1, 64), argInt("value", 0, 1<<16)), (*Camera).setParameter},
+	{sig("closeStream", "",
+		argRes("stream", "hal_stream")), (*Camera).closeStream},
+})
+
 // NewCamera constructs the camera provider over the given syscall facade.
 func NewCamera(sys *Sys, b bugs.Set) *Camera {
 	c := &Camera{
-		Base:       NewBase(CameraDescriptor, "Camera"),
 		sys:        sys,
 		bugs:       b,
 		videoFD:    -1,
 		streams:    make(map[uint64]*stream),
 		nextStream: 1,
 	}
-	c.Register(sig("openStream", "hal_stream",
-		argFlags("width", 640, 1280, 1920, 3840),
-		argFlags("height", 480, 720, 1080, 2160),
-		argFlags("format", drivers.PixFmtYUYV, drivers.PixFmtNV12, drivers.PixFmtMJPG)), c.openStream)
-	c.Register(sig("startCapture", "",
-		argRes("stream", "hal_stream")), c.startCapture)
-	c.Register(sig("captureFrame", "",
-		argRes("stream", "hal_stream")), c.captureFrame)
-	c.Register(sig("stopCapture", "",
-		argRes("stream", "hal_stream")), c.stopCapture)
-	c.Register(sig("setParameter", "",
-		argRes("stream", "hal_stream"),
-		argInt("id", 1, 64), argInt("value", 0, 1<<16)), c.setParameter)
-	c.Register(sig("closeStream", "",
-		argRes("stream", "hal_stream")), c.closeStream)
-	c.RegisterDiagnostics()
+	c.Base = Base{cameraTable, c}
 	return c
 }
 

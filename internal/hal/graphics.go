@@ -30,7 +30,7 @@ type layer struct {
 //     so composing 8+ layers drives an invalid lockdep subclass into the
 //     GPU driver.
 type Graphics struct {
-	*Base
+	Base
 	sys  *Sys
 	bugs bugs.Set
 
@@ -42,29 +42,31 @@ type Graphics struct {
 	powerMode uint64
 }
 
+var graphicsTable = newTable(GraphicsDescriptor, "Graphics", []op[Graphics]{
+	{sig("createLayer", "hal_layer",
+		argInt("width", 1, 4096), argInt("height", 1, 4096),
+		argFlags("format", 1, 2, 3)), (*Graphics).createLayer},
+	{sig("destroyLayer", "",
+		argRes("layer", "hal_layer")), (*Graphics).destroyLayer},
+	{sig("setLayerBuffer", "",
+		argRes("layer", "hal_layer"), argInt("slot", 0, 7)), (*Graphics).setLayerBuffer},
+	{sig("presentDisplay", ""), (*Graphics).presentDisplay},
+	{sig("setPowerMode", "",
+		argFlags("mode", 0, 1, 2, 3)), (*Graphics).setPowerMode},
+	{sig("getDisplayAttribute", "",
+		argInt("attribute", 1, 3)), (*Graphics).getDisplayAttribute},
+})
+
 // NewGraphics constructs the composer service over the given syscall facade.
 func NewGraphics(sys *Sys, b bugs.Set) *Graphics {
 	g := &Graphics{
-		Base:      NewBase(GraphicsDescriptor, "Graphics"),
 		sys:       sys,
 		bugs:      b,
 		gpuFD:     -1,
 		layers:    make(map[uint64]*layer),
 		nextLayer: 1,
 	}
-	g.Register(sig("createLayer", "hal_layer",
-		argInt("width", 1, 4096), argInt("height", 1, 4096),
-		argFlags("format", 1, 2, 3)), g.createLayer)
-	g.Register(sig("destroyLayer", "",
-		argRes("layer", "hal_layer")), g.destroyLayer)
-	g.Register(sig("setLayerBuffer", "",
-		argRes("layer", "hal_layer"), argInt("slot", 0, 7)), g.setLayerBuffer)
-	g.Register(sig("presentDisplay", ""), g.presentDisplay)
-	g.Register(sig("setPowerMode", "",
-		argFlags("mode", 0, 1, 2, 3)), g.setPowerMode)
-	g.Register(sig("getDisplayAttribute", "",
-		argInt("attribute", 1, 3)), g.getDisplayAttribute)
-	g.RegisterDiagnostics()
+	g.Base = Base{graphicsTable, g}
 	return g
 }
 

@@ -67,103 +67,99 @@ type Val struct {
 	S string
 }
 
-// Handler processes a decoded transaction. Returning a non-OK status maps
-// to a Binder error reply; panicking models a native crash in the service.
-type Handler func(in []Val, reply *binder.Parcel) binder.Status
+// handler runs one decoded transaction on the receiving instance self. A
+// non-OK status maps to a Binder error reply; panicking models a native
+// crash in the service.
+type handler func(self any, in []Val, reply *binder.Parcel) binder.Status
 
-type method struct {
-	sig binder.MethodSig
-	h   Handler
-}
-
-// Base provides method registration, reflection, and transaction dispatch
-// for concrete services; they embed it and register handlers at
-// construction.
-type Base struct {
+// table is a service type's immutable transaction table, built once at
+// package init and shared by every process of the type, like the compiled
+// stub of a real HAL. Transaction codes are assigned sequentially from 1
+// in registration order, as AIDL-generated stubs number their
+// transactions, so sigs[code-1] and handlers[code-1] serve code, and sigs
+// is the reflection reply.
+type table struct {
 	descriptor string
 	label      string // human label: "Graphics", "Media", ...
-	mu         sync.Mutex
-	methods    []*method
-	byCode     map[uint32]*method
-	nextCode   uint32
+	sigs       []binder.MethodSig
+	handlers   []handler
 }
 
-// NewBase returns a service base with the given Binder descriptor and human
-// label.
-func NewBase(descriptor, label string) *Base {
-	return &Base{
-		descriptor: descriptor,
-		label:      label,
-		byCode:     make(map[uint32]*method),
-		nextCode:   1,
-	}
+// op pairs a method signature with its handler, written as a method
+// expression such as (*Graphics).createLayer.
+type op[S any] struct {
+	sig binder.MethodSig
+	h   func(s *S, in []Val, reply *binder.Parcel) binder.Status
 }
 
-// Descriptor implements binder.Service.
-func (b *Base) Descriptor() string { return b.descriptor }
-
-// Label returns the human-readable HAL name used in crash titles.
-func (b *Base) Label() string { return b.label }
-
-// Register adds a method. A zero Code is auto-assigned sequentially, as
-// AIDL-generated stubs number their transactions.
-func (b *Base) Register(sig binder.MethodSig, h Handler) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if sig.Code == 0 {
-		sig.Code = b.nextCode
+// newTable builds the transaction table of service type S: its own
+// methods in order, then the diagnostic surface every AIDL service ships.
+func newTable[S any](descriptor, label string, ops []op[S]) *table {
+	t := &table{descriptor: descriptor, label: label}
+	for _, o := range ops {
+		h := o.h
+		t.add(o.sig, func(self any, in []Val, reply *binder.Parcel) binder.Status {
+			return h(self.(*S), in, reply)
+		})
 	}
-	if _, dup := b.byCode[sig.Code]; dup {
-		panic(fmt.Sprintf("hal: %s duplicate transaction code %d", b.descriptor, sig.Code))
-	}
-	b.nextCode = sig.Code + 1
-	m := &method{sig: sig, h: h}
-	b.methods = append(b.methods, m)
-	b.byCode[sig.Code] = m
+	t.addDiagnostics()
+	return t
 }
 
-// RegisterDiagnostics adds the boilerplate getter surface every AIDL
-// service ships — version, capability, statistics and dump entry points
-// that parse trivially and reach no driver code. Like the legacy ioctls on
-// the kernel side, they model the dead weight of real interface lists:
-// occurrence weighting assigns them the floor weight because no framework
-// workload ever calls them.
-func (b *Base) RegisterDiagnostics() {
-	stub := func(v uint64) Handler {
-		return func(in []Val, reply *binder.Parcel) binder.Status {
+func (t *table) add(sig binder.MethodSig, h handler) {
+	sig.Code = uint32(len(t.sigs) + 1)
+	t.sigs = append(t.sigs, sig)
+	t.handlers = append(t.handlers, h)
+}
+
+// addDiagnostics adds the boilerplate getter surface every AIDL service
+// ships — version, capability, statistics and dump entry points that parse
+// trivially and reach no driver code. Like the legacy ioctls on the kernel
+// side, they model the dead weight of real interface lists: occurrence
+// weighting assigns them the floor weight because no framework workload
+// ever calls them.
+func (t *table) addDiagnostics() {
+	stub := func(v uint64) handler {
+		return func(_ any, _ []Val, reply *binder.Parcel) binder.Status {
 			reply.WriteUint64(v)
 			return binder.StatusOK
 		}
 	}
-	b.Register(sig("getInterfaceVersion", ""), stub(2))
-	b.Register(sig("getCapabilities", ""), stub(0x1f))
-	b.Register(sig("getStatistics", "",
+	t.add(sig("getInterfaceVersion", ""), stub(2))
+	t.add(sig("getCapabilities", ""), stub(0x1f))
+	t.add(sig("getStatistics", "",
 		argInt("counter", 0, 15)), stub(0))
-	b.Register(sig("debugDump", "",
+	t.add(sig("debugDump", "",
 		argInt("verbosity", 0, 3)), stub(1))
 }
 
+// Base binds one service instance to its type's transaction table and
+// provides reflection and dispatch. Concrete services embed it; a respawn
+// builds only the service struct and its own state.
+type Base struct {
+	table *table
+	self  any // the embedding service, passed to the table's handlers
+}
+
+// Descriptor implements binder.Service.
+func (b *Base) Descriptor() string { return b.table.descriptor }
+
+// Label returns the human-readable HAL name used in crash titles.
+func (b *Base) Label() string { return b.table.label }
+
 // Transact implements binder.Service: reflection on InterfaceTransaction,
-// argument decoding per the registered signature, then handler dispatch.
+// argument decoding per the method's signature, then handler dispatch.
 func (b *Base) Transact(code uint32, in, out *binder.Parcel) binder.Status {
 	if code == binder.InterfaceTransaction {
-		b.mu.Lock()
-		sigs := make([]binder.MethodSig, len(b.methods))
-		for i, m := range b.methods {
-			sigs[i] = m.sig
-		}
-		b.mu.Unlock()
-		binder.MarshalMethods(out, sigs)
+		binder.MarshalMethods(out, b.table.sigs)
 		return binder.StatusOK
 	}
-	b.mu.Lock()
-	m := b.byCode[code]
-	b.mu.Unlock()
-	if m == nil {
+	if code == 0 || int(code) > len(b.table.sigs) {
 		return binder.StatusUnknownTransaction
 	}
-	vals := make([]Val, len(m.sig.Args))
-	for i, a := range m.sig.Args {
+	args := b.table.sigs[code-1].Args
+	vals := make([]Val, len(args))
+	for i, a := range args {
 		switch a.Kind {
 		case "buffer":
 			data, err := in.ReadBytes()
@@ -185,7 +181,7 @@ func (b *Base) Transact(code uint32, in, out *binder.Parcel) binder.Status {
 			vals[i].U = u
 		}
 	}
-	return m.h(vals, out)
+	return b.table.handlers[code-1](b.self, vals, out)
 }
 
 // Crash describes a native crash in a HAL service process.
@@ -210,7 +206,7 @@ func (c Crash) String() string {
 // segfault models a native memory fault inside service code: it panics with
 // the crash record; the hosting Process recovers it.
 func (b *Base) segfault(site string) {
-	panic(Crash{Service: b.descriptor, Label: b.label, Signal: "SIGSEGV", Site: site})
+	panic(Crash{Service: b.table.descriptor, Label: b.table.label, Signal: "SIGSEGV", Site: site})
 }
 
 // Process hosts one HAL service the way init spawns a HAL process: it

@@ -11,7 +11,7 @@ import (
 )
 
 // halRig boots a kernel with every driver and wraps one service in a
-// process, the way the device package does.
+// process with a respawn reconstructor, the way the device package does.
 type halRig struct {
 	t    *testing.T
 	k    *vkernel.Kernel
@@ -29,8 +29,11 @@ func newHALRig(t *testing.T, b bugs.Set, build func(*Sys, bugs.Set) binder.Servi
 	k.RegisterDevice(drivers.PathIIO, drivers.NewSensor(b))
 	k.RegisterDevice(drivers.PathNFC, drivers.NewNFC(b))
 	k.RegisterDevice(drivers.PathThermal, drivers.NewThermal(b))
-	svc := build(&Sys{K: k, PID: 1000}, b)
-	return &halRig{t: t, k: k, proc: NewProcess(1000, svc, label)}
+	k.RegisterDevice(drivers.PathTouch, drivers.NewTouch(b))
+	sys := &Sys{K: k, PID: 1000}
+	proc := NewProcess(1000, build(sys, b), label)
+	proc.SetRebuild(func() binder.Service { return build(sys, b) })
+	return &halRig{t: t, k: k, proc: proc}
 }
 
 // call invokes a method by name via reflection + transaction.
@@ -342,30 +345,6 @@ func TestAudioHALFlow(t *testing.T) {
 	out := r.mustCall("getPosition", func(p *binder.Parcel) { p.WriteUint64(id) })
 	_ = out
 	r.mustCall("standby", func(p *binder.Parcel) { p.WriteUint64(id) })
-}
-
-func TestReflectionListsAllMethods(t *testing.T) {
-	r := newHALRig(t, nil,
-		asService(func(s *Sys, b bugs.Set) binder.Service { return NewGraphics(s, b) }), "Graphics")
-	out := binder.NewParcel()
-	if st := r.proc.Transact(binder.InterfaceTransaction, binder.NewParcel(), out); st != binder.StatusOK {
-		t.Fatal(st)
-	}
-	methods, err := binder.UnmarshalMethods(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 6 real methods + 4 diagnostic stubs.
-	if len(methods) != 10 {
-		t.Fatalf("methods = %d, want 10", len(methods))
-	}
-	codes := make(map[uint32]bool)
-	for _, m := range methods {
-		if codes[m.Code] {
-			t.Fatal("duplicate transaction code")
-		}
-		codes[m.Code] = true
-	}
 }
 
 func TestUnknownTransaction(t *testing.T) {

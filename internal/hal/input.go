@@ -16,7 +16,7 @@ const InputDescriptor = "android.hardware.input.touch"
 // synthetic event streams (the framework's pointer pipeline), and drives
 // the vendor firmware-update path with the proper image header.
 type Input struct {
-	*Base
+	Base
 	sys  *Sys
 	bugs bugs.Set
 
@@ -24,21 +24,24 @@ type Input struct {
 	touchFD int
 }
 
+var inputTable = newTable(InputDescriptor, "Input", []op[Input]{
+	{sig("calibrate", "",
+		argInt("refx", 0, 1079), argInt("refy", 0, 1919)), (*Input).calibrate},
+	{sig("setMode", "",
+		argFlags("mode", drivers.TouchModeFinger, drivers.TouchModeStylus,
+			drivers.TouchModeGesture)), (*Input).setMode},
+	{sig("injectSwipe", "",
+		argInt("x0", 0, 1000), argInt("y0", 0, 1800),
+		argInt("steps", 1, 6)), (*Input).injectSwipe},
+	{sig("firmwareUpdate", "",
+		argInt("version", 1, 0xffff), argBuf("payload", 48)), (*Input).firmwareUpdate},
+	{sig("selfTest", ""), (*Input).selfTest},
+})
+
 // NewInput constructs the touch HAL over the given syscall facade.
 func NewInput(sys *Sys, b bugs.Set) *Input {
-	t := &Input{Base: NewBase(InputDescriptor, "Input"), sys: sys, bugs: b, touchFD: -1}
-	t.Register(sig("calibrate", "",
-		argInt("refx", 0, 1079), argInt("refy", 0, 1919)), t.calibrate)
-	t.Register(sig("setMode", "",
-		argFlags("mode", drivers.TouchModeFinger, drivers.TouchModeStylus,
-			drivers.TouchModeGesture)), t.setMode)
-	t.Register(sig("injectSwipe", "",
-		argInt("x0", 0, 1000), argInt("y0", 0, 1800),
-		argInt("steps", 1, 6)), t.injectSwipe)
-	t.Register(sig("firmwareUpdate", "",
-		argInt("version", 1, 0xffff), argBuf("payload", 48)), t.firmwareUpdate)
-	t.Register(sig("selfTest", ""), t.selfTest)
-	t.RegisterDiagnostics()
+	t := &Input{sys: sys, bugs: b, touchFD: -1}
+	t.Base = Base{inputTable, t}
 	return t
 }
 

@@ -25,7 +25,7 @@ type codec struct {
 // a flush, queueing a buffer larger than the (reset) internal capacity runs
 // an unchecked memcpy and the process segfaults.
 type Media struct {
-	*Base
+	Base
 	sys  *Sys
 	bugs bugs.Set
 
@@ -35,30 +35,32 @@ type Media struct {
 	nextCodec uint64
 }
 
+var mediaTable = newTable(MediaDescriptor, "Media", []op[Media]{
+	{sig("createCodec", "hal_codec",
+		argStr("mime", "audio/aac", "audio/opus", "audio/raw"),
+		argFlags("lowLatency", 0, 1),
+		argInt("periodHint", 0, 4096)), (*Media).createCodec},
+	{sig("queueBuffer", "",
+		argRes("codec", "hal_codec"), argBuf("data", 1024)), (*Media).queueBuffer},
+	{sig("flush", "",
+		argRes("codec", "hal_codec")), (*Media).flush},
+	{sig("drain", "",
+		argRes("codec", "hal_codec")), (*Media).drain},
+	{sig("releaseCodec", "",
+		argRes("codec", "hal_codec")), (*Media).releaseCodec},
+	{sig("getMetrics", ""), (*Media).getMetrics},
+})
+
 // NewMedia constructs the media codec service over the given syscall facade.
 func NewMedia(sys *Sys, b bugs.Set) *Media {
 	m := &Media{
-		Base:      NewBase(MediaDescriptor, "Media"),
 		sys:       sys,
 		bugs:      b,
 		pcmFD:     -1,
 		codecs:    make(map[uint64]*codec),
 		nextCodec: 1,
 	}
-	m.Register(sig("createCodec", "hal_codec",
-		argStr("mime", "audio/aac", "audio/opus", "audio/raw"),
-		argFlags("lowLatency", 0, 1),
-		argInt("periodHint", 0, 4096)), m.createCodec)
-	m.Register(sig("queueBuffer", "",
-		argRes("codec", "hal_codec"), argBuf("data", 1024)), m.queueBuffer)
-	m.Register(sig("flush", "",
-		argRes("codec", "hal_codec")), m.flush)
-	m.Register(sig("drain", "",
-		argRes("codec", "hal_codec")), m.drain)
-	m.Register(sig("releaseCodec", "",
-		argRes("codec", "hal_codec")), m.releaseCodec)
-	m.Register(sig("getMetrics", ""), m.getMetrics)
-	m.RegisterDiagnostics()
+	m.Base = Base{mediaTable, m}
 	return m
 }
 

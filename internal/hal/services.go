@@ -22,7 +22,7 @@ const (
 // (stale codec table after disable-with-inquiry-scan) and №11 (accept-queue
 // use-after-free).
 type Bluetooth struct {
-	*Base
+	Base
 	sys  *Sys
 	bugs bugs.Set
 
@@ -30,23 +30,26 @@ type Bluetooth struct {
 	hciFD int
 }
 
+var bluetoothTable = newTable(BluetoothDescriptor, "Bluetooth", []op[Bluetooth]{
+	{sig("enable", ""), (*Bluetooth).enable},
+	{sig("disable", ""), (*Bluetooth).disable},
+	{sig("startDiscovery", "",
+		argFlags("mode", drivers.HCIScanPage, drivers.HCIScanInquiry,
+			drivers.HCIScanPage|drivers.HCIScanInquiry)), (*Bluetooth).startDiscovery},
+	{sig("getSupportedCodecs", ""), (*Bluetooth).getSupportedCodecs},
+	{sig("connect", "hal_btconn",
+		argInt("peer", 1, 0xffff)), (*Bluetooth).connect},
+	{sig("acceptConnection", ""), (*Bluetooth).acceptConnection},
+	{sig("disconnect", "",
+		argRes("conn", "hal_btconn")), (*Bluetooth).disconnect},
+	{sig("sendHciCommand", "",
+		argInt("opcode", 0, 0xffff), argBuf("params", 32)), (*Bluetooth).sendHciCommand},
+})
+
 // NewBluetooth constructs the BT HAL over the given syscall facade.
 func NewBluetooth(sys *Sys, b bugs.Set) *Bluetooth {
-	t := &Bluetooth{Base: NewBase(BluetoothDescriptor, "Bluetooth"), sys: sys, bugs: b, hciFD: -1}
-	t.Register(sig("enable", ""), t.enable)
-	t.Register(sig("disable", ""), t.disable)
-	t.Register(sig("startDiscovery", "",
-		argFlags("mode", drivers.HCIScanPage, drivers.HCIScanInquiry,
-			drivers.HCIScanPage|drivers.HCIScanInquiry)), t.startDiscovery)
-	t.Register(sig("getSupportedCodecs", ""), t.getSupportedCodecs)
-	t.Register(sig("connect", "hal_btconn",
-		argInt("peer", 1, 0xffff)), t.connect)
-	t.Register(sig("acceptConnection", ""), t.acceptConnection)
-	t.Register(sig("disconnect", "",
-		argRes("conn", "hal_btconn")), t.disconnect)
-	t.Register(sig("sendHciCommand", "",
-		argInt("opcode", 0, 0xffff), argBuf("params", 32)), t.sendHciCommand)
-	t.RegisterDiagnostics()
+	t := &Bluetooth{sys: sys, bugs: b, hciFD: -1}
+	t.Base = Base{bluetoothTable, t}
 	return t
 }
 
@@ -163,7 +166,7 @@ func (t *Bluetooth) sendHciCommand(in []Val, reply *binder.Parcel) binder.Status
 
 // NFC is the NFC HAL over the NFC controller driver.
 type NFC struct {
-	*Base
+	Base
 	sys  *Sys
 	bugs bugs.Set
 
@@ -171,16 +174,19 @@ type NFC struct {
 	nfcFD int
 }
 
+var nfcTable = newTable(NFCDescriptor, "Nfc", []op[NFC]{
+	{sig("enable", ""), (*NFC).enable},
+	{sig("disable", ""), (*NFC).disable},
+	{sig("transceive", "",
+		argBuf("frame", 255)), (*NFC).transceive},
+	{sig("firmwareUpdate", "",
+		argBuf("image", 120)), (*NFC).firmwareUpdate},
+})
+
 // NewNFC constructs the NFC HAL over the given syscall facade.
 func NewNFC(sys *Sys, b bugs.Set) *NFC {
-	n := &NFC{Base: NewBase(NFCDescriptor, "Nfc"), sys: sys, bugs: b, nfcFD: -1}
-	n.Register(sig("enable", ""), n.enable)
-	n.Register(sig("disable", ""), n.disable)
-	n.Register(sig("transceive", "",
-		argBuf("frame", 255)), n.transceive)
-	n.Register(sig("firmwareUpdate", "",
-		argBuf("image", 120)), n.firmwareUpdate)
-	n.RegisterDiagnostics()
+	n := &NFC{sys: sys, bugs: b, nfcFD: -1}
+	n.Base = Base{nfcTable, n}
 	return n
 }
 
@@ -259,7 +265,7 @@ func (n *NFC) firmwareUpdate(in []Val, reply *binder.Parcel) binder.Status {
 
 // Sensors is the sensors HAL over the IIO hub.
 type Sensors struct {
-	*Base
+	Base
 	sys  *Sys
 	bugs bugs.Set
 
@@ -267,15 +273,18 @@ type Sensors struct {
 	iioFD int
 }
 
+var sensorsTable = newTable(SensorsDescriptor, "Sensors", []op[Sensors]{
+	{sig("activate", "",
+		argInt("sensor", 0, 7), argFlags("enabled", 0, 1)), (*Sensors).activate},
+	{sig("batch", "",
+		argInt("sensor", 0, 7), argInt("rateHz", 1, 1000)), (*Sensors).batch},
+	{sig("poll", ""), (*Sensors).poll},
+})
+
 // NewSensors constructs the sensors HAL over the given syscall facade.
 func NewSensors(sys *Sys, b bugs.Set) *Sensors {
-	s := &Sensors{Base: NewBase(SensorsDescriptor, "Sensors"), sys: sys, bugs: b, iioFD: -1}
-	s.Register(sig("activate", "",
-		argInt("sensor", 0, 7), argFlags("enabled", 0, 1)), s.activate)
-	s.Register(sig("batch", "",
-		argInt("sensor", 0, 7), argInt("rateHz", 1, 1000)), s.batch)
-	s.Register(sig("poll", ""), s.poll)
-	s.RegisterDiagnostics()
+	s := &Sensors{sys: sys, bugs: b, iioFD: -1}
+	s.Base = Base{sensorsTable, s}
 	return s
 }
 
@@ -343,7 +352,7 @@ func (s *Sensors) poll(in []Val, reply *binder.Parcel) binder.Status {
 // realistic role sequences are the HAL-mediated route to the TCPC bugs
 // №1 (re-probe during DRP toggle) and №4 (VBUS with masked OC alert).
 type USB struct {
-	*Base
+	Base
 	sys  *Sys
 	bugs bugs.Set
 
@@ -352,20 +361,23 @@ type USB struct {
 	role   uint64
 }
 
+var usbTable = newTable(USBDescriptor, "Usb", []op[USB]{
+	{sig("setPortRole", "",
+		argFlags("role", drivers.TCPCModeOff, drivers.TCPCModeUFP,
+			drivers.TCPCModeDFP, drivers.TCPCModeDRP)), (*USB).setPortRole},
+	{sig("enableContract", "",
+		argFlags("millivolts", 5000, 9000, 12000, 15000, 20000)), (*USB).enableContract},
+	{sig("startToggling", ""), (*USB).startToggling},
+	{sig("reprobeChip", ""), (*USB).reprobeChip},
+	{sig("queryPortStatus", ""), (*USB).queryPortStatus},
+	{sig("setAlertMask", "",
+		argInt("mask", 0, 0xffff)), (*USB).setAlertMask},
+})
+
 // NewUSB constructs the USB HAL over the given syscall facade.
 func NewUSB(sys *Sys, b bugs.Set) *USB {
-	u := &USB{Base: NewBase(USBDescriptor, "Usb"), sys: sys, bugs: b, tcpcFD: -1}
-	u.Register(sig("setPortRole", "",
-		argFlags("role", drivers.TCPCModeOff, drivers.TCPCModeUFP,
-			drivers.TCPCModeDFP, drivers.TCPCModeDRP)), u.setPortRole)
-	u.Register(sig("enableContract", "",
-		argFlags("millivolts", 5000, 9000, 12000, 15000, 20000)), u.enableContract)
-	u.Register(sig("startToggling", ""), u.startToggling)
-	u.Register(sig("reprobeChip", ""), u.reprobeChip)
-	u.Register(sig("queryPortStatus", ""), u.queryPortStatus)
-	u.Register(sig("setAlertMask", "",
-		argInt("mask", 0, 0xffff)), u.setAlertMask)
-	u.RegisterDiagnostics()
+	u := &USB{sys: sys, bugs: b, tcpcFD: -1}
+	u.Base = Base{usbTable, u}
 	return u
 }
 
@@ -493,7 +505,7 @@ func (u *USB) setAlertMask(in []Val, reply *binder.Parcel) binder.Status {
 
 // Thermal is the thermal HAL over the thermal-zone driver.
 type Thermal struct {
-	*Base
+	Base
 	sys  *Sys
 	bugs bugs.Set
 
@@ -501,16 +513,19 @@ type Thermal struct {
 	thermFD int
 }
 
+var thermalTable = newTable(ThermalDescriptor, "Thermal", []op[Thermal]{
+	{sig("getTemperature", "",
+		argInt("zone", 0, 3)), (*Thermal).getTemperature},
+	{sig("setThrottling", "",
+		argInt("zone", 0, 3), argInt("tripMilliC", 0, 120000)), (*Thermal).setThrottling},
+	{sig("setPolicy", "",
+		argFlags("policy", 0, 1, 2)), (*Thermal).setPolicy},
+})
+
 // NewThermal constructs the thermal HAL over the given syscall facade.
 func NewThermal(sys *Sys, b bugs.Set) *Thermal {
-	t := &Thermal{Base: NewBase(ThermalDescriptor, "Thermal"), sys: sys, bugs: b, thermFD: -1}
-	t.Register(sig("getTemperature", "",
-		argInt("zone", 0, 3)), t.getTemperature)
-	t.Register(sig("setThrottling", "",
-		argInt("zone", 0, 3), argInt("tripMilliC", 0, 120000)), t.setThrottling)
-	t.Register(sig("setPolicy", "",
-		argFlags("policy", 0, 1, 2)), t.setPolicy)
-	t.RegisterDiagnostics()
+	t := &Thermal{sys: sys, bugs: b, thermFD: -1}
+	t.Base = Base{thermalTable, t}
 	return t
 }
 

@@ -12,6 +12,13 @@ import (
 // exactly what init does when it respawns a crashed HAL process. Boot
 // issues no transactions, so a freshly constructed service IS the pristine
 // post-boot state.
+//
+// A respawn constructs only per-instance state: the service struct and the
+// maps it owns. The transaction table — descriptor, signatures, codes and
+// handlers — belongs to the service type, is built once at package init
+// and is shared by every process of that type on every device, the way a
+// real HAL's compiled stub is. A respawned instance therefore reflects the
+// identical method list with the identical codes.
 
 // procState is the Process's checkpoint payload. The service internals are
 // opaque, so the only state — and the only thing a checkpoint carries to
