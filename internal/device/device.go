@@ -403,9 +403,10 @@ func (d *Device) Healthy() bool {
 	return true
 }
 
-// TakeHALCrashes drains native-crash records from all HAL processes.
+// TakeHALCrashes drains native-crash records from all HAL processes. It
+// returns nil, allocating nothing, when no process crashed.
 func (d *Device) TakeHALCrashes() []hal.Crash {
-	out := make([]hal.Crash, 0, len(d.Procs))
+	var out []hal.Crash
 	for _, p := range d.Procs {
 		out = append(out, p.TakeCrashes()...)
 	}

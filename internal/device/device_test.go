@@ -184,3 +184,13 @@ func TestHALCrashDrain(t *testing.T) {
 		t.Fatalf("fresh device has crashes: %v", got)
 	}
 }
+
+// TestHALCrashDrainAllocatesNothingWhenClean pins the broker's per-exec
+// drain: a device with no crashed HAL returns nil without allocating.
+func TestHALCrashDrainAllocatesNothingWhenClean(t *testing.T) {
+	m, _ := ModelByID("A1")
+	d := New(m)
+	if n := testing.AllocsPerRun(100, func() { d.TakeHALCrashes() }); n != 0 {
+		t.Fatalf("TakeHALCrashes on a clean device: %v allocs, want 0", n)
+	}
+}

@@ -4,9 +4,13 @@
 // use-after-free, out-of-bounds, double-free and invalid-access bugs fire at
 // the same program points a real KASAN build would report them.
 //
+// An object's bytes are backed lazily: Alloc records only its id, size and
+// site, the first Store creates a backing of exactly the object's size, and
+// a Load from an object no one wrote returns zeros, as kzalloc memory would.
 // Freed objects are kept in a quarantine (as real KASAN does) so that
 // delayed use-after-free accesses are still attributed to the original
-// allocation rather than a recycled one.
+// allocation rather than a recycled one; Free drops their backing, since
+// every access to a freed object reports before it reads a byte.
 package kasan
 
 import (
@@ -115,7 +119,7 @@ const (
 type object struct {
 	ID        uint64
 	Size      int
-	Data      []byte
+	Data      []byte // nil until the first Store and after Free; else Size bytes
 	State     objState
 	AllocSite string
 	FreeSite  string
@@ -141,6 +145,11 @@ type Heap struct {
 // use-after-free attribution.
 const DefaultQuarantine = 4096
 
+// maxObjectSize is the largest object Alloc hands out, kmalloc's
+// KMALLOC_MAX_SIZE (4 MiB). It also bounds the size a checkpoint may
+// claim for an object, which its blob no longer has to back with bytes.
+const maxObjectSize = 4 << 20
+
 // NewHeap returns an empty heap whose quarantine holds up to quarCap freed
 // objects (DefaultQuarantine if quarCap <= 0).
 func NewHeap(quarCap int) *Heap {
@@ -155,8 +164,12 @@ func NewHeap(quarCap int) *Heap {
 }
 
 // Alloc allocates a zeroed object of the given size and returns its handle.
-// site names the allocating function for later reports.
+// site names the allocating function for later reports. Above
+// maxObjectSize it returns 0, never a valid handle, as kmalloc returns NULL.
 func (h *Heap) Alloc(size int, site string) uint64 {
+	if size > maxObjectSize {
+		return 0
+	}
 	if size < 0 {
 		size = 0
 	}
@@ -167,7 +180,6 @@ func (h *Heap) Alloc(size int, site string) uint64 {
 	h.objects[id] = &object{
 		ID:        id,
 		Size:      size,
-		Data:      make([]byte, size),
 		State:     stateLive,
 		AllocSite: site,
 	}
@@ -195,6 +207,7 @@ func (h *Heap) Free(id uint64, site string) *Report {
 	}
 	obj.State = stateFreed
 	obj.FreeSite = site
+	obj.Data = nil
 	h.frees++
 	h.Touch()
 	h.quarantine = append(h.quarantine, id)
@@ -216,7 +229,9 @@ func (h *Heap) Load(id uint64, off, n int, site string) ([]byte, *Report) {
 		return nil, rep
 	}
 	out := make([]byte, n)
-	copy(out, obj.Data[off:off+n])
+	if obj.Data != nil {
+		copy(out, obj.Data[off:off+n])
+	}
 	return out, nil
 }
 
@@ -227,6 +242,9 @@ func (h *Heap) Store(id uint64, off int, p []byte, site string) *Report {
 	obj, rep := h.check(id, off, len(p), Write, site)
 	if rep != nil {
 		return rep
+	}
+	if obj.Data == nil {
+		obj.Data = make([]byte, obj.Size)
 	}
 	copy(obj.Data[off:off+len(p)], p)
 	h.Touch()

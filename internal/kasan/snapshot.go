@@ -12,7 +12,10 @@ import (
 // small, but Checkpoint deep-copies whatever is live so the contract holds
 // for any capture point.
 
-// heapState is the Heap's checkpoint payload.
+// heapState is the Heap's checkpoint payload. An object's Data travels as
+// the heap holds it: nil for an object never stored to or already freed,
+// otherwise exactly Size bytes, so the blob carries only bytes a driver
+// wrote.
 type heapState struct {
 	Objects    []object // deep copies, sorted by ID
 	NextID     uint64
@@ -58,8 +61,7 @@ func (h *Heap) Restore(s any) {
 	h.objects = make(map[uint64]*object, len(st.Objects))
 	for _, obj := range st.Objects {
 		cc := obj
-		cc.Data = make([]byte, len(obj.Data))
-		copy(cc.Data, obj.Data)
+		cc.Data = slices.Clone(obj.Data)
 		h.objects[cc.ID] = &cc
 	}
 	h.nextID = st.NextID
@@ -70,11 +72,15 @@ func (h *Heap) Restore(s any) {
 	h.reports = nil
 }
 
-// Validate implements snap.Validator: every object's backing data must
-// span exactly its size, the bound every later access is checked against.
+// Validate implements snap.Validator: every object's size must be one
+// Alloc could have granted, and its backing must be absent or span exactly
+// that size, the bound every later access is checked against.
 func (h *Heap) Validate(s any) error {
 	for _, obj := range s.(*heapState).Objects {
-		if len(obj.Data) != obj.Size {
+		if obj.Size < 0 || obj.Size > maxObjectSize {
+			return fmt.Errorf("kasan: checkpoint object %d has size %d outside [0, %d]", obj.ID, obj.Size, maxObjectSize)
+		}
+		if obj.Data != nil && len(obj.Data) != obj.Size {
 			return fmt.Errorf("kasan: checkpoint object %d has %d data bytes for size %d", obj.ID, len(obj.Data), obj.Size)
 		}
 	}
