@@ -62,7 +62,7 @@ type (
 	// Broker is the device-side execution broker.
 	Broker = adb.Broker
 	// Executor is the execution boundary engines drive: the in-process
-	// Broker, a transport Conn, or a resilient remote client.
+	// Broker or the resilient remote client.
 	Executor = adb.Executor
 	// ExecutorInfo is the executor identity handshake payload.
 	ExecutorInfo = adb.Info

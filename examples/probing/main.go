@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sort"
@@ -47,20 +48,25 @@ func main() {
 	}
 
 	// Serve a broker over an in-memory transport exactly like the TCP
-	// deployment.
-	broker := adb.NewBroker(dev, target)
-
-	host, devSide := net.Pipe()
-	go func() { _ = adb.Serve(devSide, broker) }()
-	conn := adb.Dial(host)
-	if err := conn.Ping(); err != nil {
+	// deployment: each dial opens a pipe and serves its device end.
+	srv := &adb.Server{X: adb.NewBroker(dev, target)}
+	r, err := adb.NewResilient(func() (io.ReadWriteCloser, error) {
+		host, devSide := net.Pipe()
+		go func() { _ = srv.Serve(devSide) }()
+		return host, nil
+	}, adb.ResilientOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Ping(); err != nil {
 		log.Fatal(err)
 	}
 
 	// Execute the first distilled workload seed remotely.
 	seed := pr.Seeds[0]
 	fmt.Printf("\nexecuting distilled workload over the transport:\n%s\n", seed.String())
-	res, err := conn.Exec(adb.ExecRequest{ProgText: seed.String()})
+	res, err := r.Exec(adb.ExecRequest{ProgText: seed.String()})
 	if err != nil {
 		log.Fatal(err)
 	}

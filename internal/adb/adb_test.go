@@ -1,6 +1,7 @@
 package adb
 
 import (
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -203,17 +204,42 @@ func TestHALTraceCapturedViaBluetoothHAL(t *testing.T) {
 	}
 }
 
-func TestTransportRoundTrip(t *testing.T) {
-	b, _ := newBrokerRig(t, "B")
-	host, devSide := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- Serve(devSide, b) }()
+// pipeDialer returns a dial function that serves srv on the device end of
+// a fresh net.Pipe for every (re)connection.
+func pipeDialer(srv *Server) func() (io.ReadWriteCloser, error) {
+	return func() (io.ReadWriteCloser, error) {
+		host, devSide := net.Pipe()
+		go srv.Serve(devSide)
+		return host, nil
+	}
+}
 
-	conn := Dial(host)
-	if err := conn.Ping(); err != nil {
+// dialPipe attaches a Resilient client to srv over net.Pipe.
+func dialPipe(t *testing.T, srv *Server, opts ResilientOptions) *Resilient {
+	t.Helper()
+	r, err := NewResilient(pipeDialer(srv), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := conn.Exec(ExecRequest{ProgText: "r0 = open$hci(path=\"/dev/hci0\")\n"})
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+func TestTransportRoundTrip(t *testing.T) {
+	b, _ := newBrokerRig(t, "B")
+	done := make(chan error, 1)
+	r, err := NewResilient(func() (io.ReadWriteCloser, error) {
+		host, devSide := net.Pipe()
+		go func() { done <- (&Server{X: b}).Serve(devSide) }()
+		return host, nil
+	}, ResilientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Exec(ExecRequest{ProgText: "r0 = open$hci(path=\"/dev/hci0\")\n"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +247,10 @@ func TestTransportRoundTrip(t *testing.T) {
 		t.Fatalf("remote exec = %+v", res.Calls)
 	}
 	// Errors cross the transport as errors, not panics.
-	if _, err := conn.Exec(ExecRequest{ProgText: "garbage(\n"}); err == nil {
+	if _, err := r.Exec(ExecRequest{ProgText: "garbage(\n"}); err == nil {
 		t.Fatal("bad program accepted remotely")
 	}
-	host.Close()
+	r.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -236,17 +262,18 @@ func TestTransportTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go ServeTCP(ln, b)
+	go (&Server{X: b}).ServeTCP(ln)
 	defer ln.Close()
 
-	conn, err := DialTCP(ln.Addr().String())
+	r, err := DialResilient(ln.Addr().String(), ResilientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Ping(); err != nil {
+	defer r.Close()
+	if err := r.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := conn.Exec(ExecRequest{ProgText: "r0 = open$l2cap(path=\"/dev/l2cap0\")\n"})
+	res, err := r.Exec(ExecRequest{ProgText: "r0 = open$l2cap(path=\"/dev/l2cap0\")\n"})
 	if err != nil || res.Calls[0].Errno != "OK" {
 		t.Fatalf("tcp exec = %v/%v", res, err)
 	}
@@ -299,7 +326,7 @@ func TestTransportConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go ServeTCP(ln, b)
+	go (&Server{X: b}).ServeTCP(ln)
 	defer ln.Close()
 
 	var wg sync.WaitGroup
@@ -308,13 +335,14 @@ func TestTransportConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conn, err := DialTCP(ln.Addr().String())
+			r, err := DialResilient(ln.Addr().String(), ResilientOptions{})
 			if err != nil {
 				errs <- err
 				return
 			}
+			defer r.Close()
 			for i := 0; i < 25; i++ {
-				res, err := conn.Exec(ExecRequest{ProgText: "r0 = open$hci(path=\"/dev/hci0\")\n"})
+				res, err := r.Exec(ExecRequest{ProgText: "r0 = open$hci(path=\"/dev/hci0\")\n"})
 				if err != nil {
 					errs <- err
 					return

@@ -3,6 +3,8 @@ package adb
 import (
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -16,9 +18,7 @@ import (
 // rather than reply order.
 func TestRepliesMatchedByTagOutOfOrder(t *testing.T) {
 	host, dev := net.Pipe()
-	conn := Dial(host)
-	conn.SetWindow(2)
-	conn.SetCallTimeout(5 * time.Second)
+	c := newConn(host, ResilientOptions{Window: 2, CallTimeout: 5 * time.Second})
 
 	// Server: collect both requests, then reply last-received first. The
 	// reply payload encodes which program the request carried, so the client
@@ -60,18 +60,18 @@ func TestRepliesMatchedByTagOutOfOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := conn.Exec(ExecRequest{ProgText: text})
+			rep, err := c.roundTrip(rpcRequest{Exec: &ExecRequest{ProgText: text}})
 			if err != nil {
 				t.Errorf("%s: %v", text, err)
 				return
 			}
-			if got := res.Calls[0].Ret; got != ret {
+			if got := rep.Result.Calls[0].Ret; got != ret {
 				t.Errorf("%s: got reply for Ret=%d, want %d (reply crossed tags)", text, got, ret)
 			}
 		}()
 	}
 	wg.Wait()
-	conn.Close()
+	c.close()
 	dev.Close()
 }
 
@@ -82,15 +82,6 @@ type stubFilter struct{ n int }
 func (f *stubFilter) Observe(res *ExecResult) bool {
 	f.n++
 	return f.n == 1
-}
-
-// pipeServer serves a broker over net.Pipe and returns the host-side Conn.
-func pipeServer(t *testing.T, srv *Server) *Conn {
-	t.Helper()
-	host, dev := net.Pipe()
-	go srv.Serve(dev)
-	t.Cleanup(func() { host.Close(); dev.Close() })
-	return Dial(host)
 }
 
 const benignProg = `r0 = open$tcpc(path="/dev/tcpc0")
@@ -106,11 +97,10 @@ func TestExecBatchSummaryElidesRepeats(t *testing.T) {
 	b, _ := newBrokerRig(t, "A1")
 	srv := &Server{X: b}
 	srv.NewFilter = func() UplinkFilter { return &stubFilter{} }
-	conn := pipeServer(t, srv)
-	conn.SetCallTimeout(5 * time.Second)
+	r := dialPipe(t, srv, ResilientOptions{CallTimeout: 5 * time.Second})
 
 	progs := []string{benignProg, benignProg, benignProg, benignProg}
-	results, err := conn.ExecBatch(ExecBatchRequest{Progs: progs, Summary: true})
+	results, err := r.ExecBatch(ExecBatchRequest{Progs: progs, Summary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +124,7 @@ func TestExecBatchSummaryElidesRepeats(t *testing.T) {
 		}
 	}
 
-	w := conn.WireStats()
+	w := r.WireStats()
 	if w.Execs != 4 || w.Elided != 3 {
 		t.Fatalf("wire stats = %+v, want Execs=4 Elided=3", w)
 	}
@@ -144,7 +134,7 @@ func TestExecBatchSummaryElidesRepeats(t *testing.T) {
 
 	// Without summary mode the same repeats ship in full: elision must not
 	// grow even though the filter still observes every execution.
-	results, err = conn.ExecBatch(ExecBatchRequest{Progs: progs[:2], Summary: false})
+	results, err = r.ExecBatch(ExecBatchRequest{Progs: progs[:2], Summary: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +143,7 @@ func TestExecBatchSummaryElidesRepeats(t *testing.T) {
 			t.Fatalf("non-summary result %d missing traces", i)
 		}
 	}
-	if w := conn.WireStats(); w.Elided != 3 || w.Execs != 6 {
+	if w := r.WireStats(); w.Elided != 3 || w.Execs != 6 {
 		t.Fatalf("non-summary batch changed elision accounting: %+v", w)
 	}
 }
@@ -163,15 +153,14 @@ func TestExecBatchSummaryElidesRepeats(t *testing.T) {
 // index-for-index, with exactly the bad program marked nil.
 func TestExecBatchFramingAndRejects(t *testing.T) {
 	b, _ := newBrokerRig(t, "A1")
-	conn := pipeServer(t, &Server{X: b})
-	conn.SetCallTimeout(5 * time.Second)
-	conn.SetBatchFrame(2) // 5 programs -> 3 frames through the window
+	// 5 programs -> 3 frames through the window.
+	r := dialPipe(t, &Server{X: b}, ResilientOptions{CallTimeout: 5 * time.Second, BatchFrame: 2})
 
 	short := `r0 = open$tcpc(path="/dev/tcpc0")
 close$tcpc(fd=r0)
 `
 	progs := []string{benignProg, short, "this is not a program", benignProg, short}
-	results, err := conn.ExecBatch(ExecBatchRequest{Progs: progs})
+	results, err := r.ExecBatch(ExecBatchRequest{Progs: progs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,8 +297,7 @@ func TestBrokerExecBatchInProcess(t *testing.T) {
 // still blocked acquiring a window slot — must fail fast with ErrTransport.
 func TestWindowFullSubmittersUnblockOnPoison(t *testing.T) {
 	host, dev := net.Pipe()
-	conn := Dial(host)
-	conn.SetWindow(1)
+	c := newConn(host, ResilientOptions{Window: 1})
 
 	// Swallow the requests without ever replying.
 	go func() {
@@ -324,10 +312,13 @@ func TestWindowFullSubmittersUnblockOnPoison(t *testing.T) {
 
 	errs := make(chan error, 3)
 	for i := 0; i < 3; i++ {
-		go func() { errs <- conn.Ping() }()
+		go func() {
+			_, err := c.roundTrip(rpcRequest{Ping: true})
+			errs <- err
+		}()
 	}
 	time.Sleep(20 * time.Millisecond) // let one occupy the slot, two queue behind it
-	conn.fail(errors.New("adb: transport failure (injected)"))
+	c.fail(errors.New("adb: transport failure (injected)"))
 	for i := 0; i < 3; i++ {
 		select {
 		case err := <-errs:
@@ -339,4 +330,123 @@ func TestWindowFullSubmittersUnblockOnPoison(t *testing.T) {
 		}
 	}
 	dev.Close()
+}
+
+// serveMiscounting serves srv on dev like Server.Serve, except that the
+// reply to the second batch frame carries skew more (or fewer) results
+// than the frame had programs.
+func serveMiscounting(srv *Server, dev net.Conn, skew int) {
+	defer dev.Close()
+	enc := gob.NewEncoder(dev)
+	dec := gob.NewDecoder(dev)
+	st := &connState{}
+	frames := 0
+	for {
+		req, err := decodeRequest(dec)
+		if err != nil {
+			return
+		}
+		rep := srv.handle(req, st)
+		rep.Tag = req.Tag
+		if req.Batch != nil {
+			if frames++; frames == 2 {
+				res := rep.Batch.Results
+				if skew > 0 {
+					res = append(res, make([]WireResult, skew)...)
+				} else {
+					res = res[:len(res)+skew]
+				}
+				rep.Batch.Results = res
+			}
+		}
+		if enc.Encode(&rep) != nil {
+			return
+		}
+	}
+}
+
+// TestExecBatchRejectsMiscountedReply answers one frame of a batch with
+// more results than the frame carried programs, and then with fewer. The
+// stream must be poisoned with a typed error instead of the extra results
+// overrunning the batch or the short reply shifting results onto the wrong
+// programs, and Resilient must recover by resubmitting only the
+// unacknowledged tail on a fresh connection.
+func TestExecBatchRejectsMiscountedReply(t *testing.T) {
+	short := `r0 = open$tcpc(path="/dev/tcpc0")
+close$tcpc(fd=r0)
+`
+	progs := []string{benignProg, short, short, benignProg, short}
+	wantCalls := []int{3, 2, 2, 3, 2}
+	checkAligned := func(t *testing.T, results []*ExecResult) {
+		t.Helper()
+		for i, res := range results {
+			if res == nil || len(res.Calls) != wantCalls[i] {
+				t.Fatalf("result %d misattributed: %+v", i, res)
+			}
+		}
+	}
+	// Window 1 makes the cut deterministic: frame 2 is sent only after
+	// frame 1 is acknowledged.
+	opts := ResilientOptions{
+		CallTimeout: 5 * time.Second,
+		MaxAttempts: 1,
+		BackoffBase: time.Millisecond,
+		BackoffMax:  5 * time.Millisecond,
+		Window:      1,
+		BatchFrame:  2,
+	}
+	for _, skew := range []int{+3, -1} {
+		t.Run(fmt.Sprintf("stream/skew%+d", skew), func(t *testing.T) {
+			b, _ := newBrokerRig(t, "A1")
+			host, dev := net.Pipe()
+			go serveMiscounting(&Server{X: b}, dev, skew)
+			c := newConn(host, opts)
+			defer c.close()
+			results, err := c.execBatch(ExecBatchRequest{Progs: progs})
+			if !errors.Is(err, ErrTransport) {
+				t.Fatalf("miscounted reply: err = %v, want ErrTransport", err)
+			}
+			if len(results) != 2 {
+				t.Fatalf("results = %d, want the 2 of the acknowledged frame", len(results))
+			}
+			checkAligned(t, results)
+			if _, err := c.roundTrip(rpcRequest{Ping: true}); !errors.Is(err, ErrTransport) {
+				t.Fatalf("stream not poisoned after a miscounted reply: %v", err)
+			}
+		})
+		t.Run(fmt.Sprintf("resilient/skew%+d", skew), func(t *testing.T) {
+			b, _ := newBrokerRig(t, "A1")
+			srv := &Server{X: b}
+			var dials atomic.Int64
+			r, err := NewResilient(func() (io.ReadWriteCloser, error) {
+				host, dev := net.Pipe()
+				if dials.Add(1) == 1 {
+					go serveMiscounting(srv, dev, skew)
+				} else {
+					go srv.Serve(dev)
+				}
+				return host, nil
+			}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			results, err := r.ExecBatch(ExecBatchRequest{Progs: progs})
+			if err != nil {
+				t.Fatalf("batch did not survive the reconnect: %v", err)
+			}
+			if len(results) != len(progs) {
+				t.Fatalf("results = %d, want %d", len(results), len(progs))
+			}
+			checkAligned(t, results)
+			if n := dials.Load(); n != 2 {
+				t.Fatalf("dials = %d, want 2 (one reconnect)", n)
+			}
+			// Frame 1 was acknowledged on the first stream, so the retry
+			// carried the 3 programs of the tail, not all 5.
+			if w := r.WireStats(); w.Execs != uint64(len(progs)) {
+				t.Fatalf("wire stats = %+v, want Execs=%d (tail-only retry)", w, len(progs))
+			}
+		})
+	}
 }

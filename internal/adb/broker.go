@@ -14,9 +14,9 @@ import (
 
 // Executor is the execution boundary between a host-side fuzzing engine and
 // a device-side broker (paper §IV-A): everything an engine needs from the
-// device, and nothing more. The in-process Broker, the transport-backed
-// Conn, and the reconnecting Resilient client all implement it, so every
-// layer above — engine, daemon, baselines, CLIs — is transport-agnostic.
+// device, and nothing more. The in-process Broker and the remote Resilient
+// client implement it, so every layer above — engine, daemon, baselines,
+// CLIs — is transport-agnostic.
 type Executor interface {
 	// Exec parses and runs a program from its DSL text form.
 	Exec(req ExecRequest) (*ExecResult, error)
@@ -42,7 +42,7 @@ type Executor interface {
 }
 
 // Cloner is the optional checkpoint-portability extension of Executor.
-// Broker, Conn, and Resilient all implement it; engines type-assert and
+// Broker and Resilient implement it; engines type-assert and
 // fall back to flat scheduling when the executor cannot clone.
 type Cloner interface {
 	// ExportCheckpoint serializes the device's current state into a

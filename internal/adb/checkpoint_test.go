@@ -2,21 +2,17 @@ package adb
 
 import (
 	"bytes"
-	"net"
 	"strings"
 	"testing"
 
 	"droidfuzz/internal/dsl"
 )
 
-// dialCheckpointRig serves b over an in-memory pipe and returns the host
-// connection.
-func dialCheckpointRig(t *testing.T, x Executor) *Conn {
+// dialCheckpointRig serves x over an in-memory pipe and returns the
+// attached host client.
+func dialCheckpointRig(t *testing.T, x Executor) *Resilient {
 	t.Helper()
-	host, devSide := net.Pipe()
-	go Serve(devSide, x)
-	t.Cleanup(func() { host.Close() })
-	return Dial(host)
+	return dialPipe(t, &Server{X: x}, ResilientOptions{})
 }
 
 // TestTransportCheckpointRoundTrip drives the Export/ImportCheckpoint

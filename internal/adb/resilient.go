@@ -3,7 +3,9 @@ package adb
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"sync"
 	"time"
 
@@ -12,7 +14,8 @@ import (
 
 // ResilientOptions tune the reconnecting remote executor.
 type ResilientOptions struct {
-	// DialTimeout bounds one connection attempt (default 2s).
+	// DialTimeout bounds one TCP connection attempt of DialResilient
+	// (default 2s).
 	DialTimeout time.Duration
 	// CallTimeout bounds one RPC round trip (default 10s).
 	CallTimeout time.Duration
@@ -49,23 +52,23 @@ func (o *ResilientOptions) defaults() {
 	}
 }
 
-// Resilient is a reconnecting remote Executor over the ADB-stand-in
-// transport. Transport failures trigger a bounded redial-with-backoff and
-// one retry of the failed operation; when the broker stays unreachable the
-// client enters a cooldown during which every operation fails immediately,
-// so a dead broker degrades its engine (surfacing as ExecErrors) at
-// near-zero per-iteration cost instead of stalling or killing the fleet.
-// Reconnections re-run the identity handshake and refuse a broker whose
-// target fingerprint changed.
+// Resilient is the host-side remote Executor: it drives a device-side
+// broker over the ADB-stand-in transport. Transport failures trigger a
+// bounded redial-with-backoff and one retry of the failed operation; when
+// the broker stays unreachable the client enters a cooldown during which
+// every operation fails immediately, so a dead broker degrades its engine
+// (surfacing as ExecErrors) at near-zero per-iteration cost instead of
+// stalling or killing the fleet. Reconnections re-run the identity
+// handshake and refuse a broker whose target fingerprint changed.
 //
 // Resilient paces retries with the wall clock, so remote campaigns are not
 // bit-replayable under injected faults; see DESIGN.md.
 type Resilient struct {
-	addr string
+	dial func() (io.ReadWriteCloser, error)
 	opts ResilientOptions
 
 	mu         sync.Mutex
-	conn       *Conn
+	conn       *conn
 	target     *dsl.Target
 	info       Info
 	seeds      []string
@@ -88,42 +91,48 @@ var (
 	_ Cloner        = (*Resilient)(nil)
 )
 
-// DialResilient connects to a broker daemon at addr and performs the
-// attach handshake, returning a reconnecting Executor bound to the
-// device's call-description target.
-func DialResilient(addr string, opts ResilientOptions) (*Resilient, error) {
+// NewResilient opens a stream with dial and performs the attach
+// handshake, returning a reconnecting Executor bound to the device's
+// call-description target. Every reconnect calls dial again for a fresh
+// stream; a dial error counts as a transport failure. Reconnects are
+// serialized: dial runs under the client's lock, so it must not call back
+// into the client.
+func NewResilient(dial func() (io.ReadWriteCloser, error), opts ResilientOptions) (*Resilient, error) {
 	opts.defaults()
-	r := &Resilient{addr: addr, opts: opts}
-	conn, err := r.dial()
+	r := &Resilient{dial: dial, opts: opts}
+	c, err := r.connect()
 	if err != nil {
 		return nil, err
 	}
-	rep, err := conn.Handshake()
+	rep, target, err := c.handshake()
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("adb: attach %s: %w", addr, err)
+		c.close()
+		return nil, fmt.Errorf("adb: attach: %w", err)
 	}
-	r.conn = conn
-	r.target = conn.Target()
+	r.conn = c
+	r.target = target
 	r.info = rep.Info
 	r.seeds = rep.Seeds
 	return r, nil
 }
 
-// dial opens and configures one connection (no handshake).
-func (r *Resilient) dial() (*Conn, error) {
-	conn, err := DialTCPTimeout(r.addr, r.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	conn.SetCallTimeout(r.opts.CallTimeout)
-	conn.SetWindow(r.opts.Window)
-	conn.SetBatchFrame(r.opts.BatchFrame)
-	return conn, nil
+// DialResilient is NewResilient over TCP: every (re)connection dials the
+// broker daemon at addr, bounded by opts.DialTimeout.
+func DialResilient(addr string, opts ResilientOptions) (*Resilient, error) {
+	opts.defaults()
+	return NewResilient(func() (io.ReadWriteCloser, error) {
+		return net.DialTimeout("tcp", addr, opts.DialTimeout)
+	}, opts)
 }
 
-// Addr returns the broker address the client reconnects to.
-func (r *Resilient) Addr() string { return r.addr }
+// connect opens one stream (no handshake).
+func (r *Resilient) connect() (*conn, error) {
+	rwc, err := r.dial()
+	if err != nil {
+		return nil, fmt.Errorf("%w: dial: %v", ErrTransport, err)
+	}
+	return newConn(rwc, r.opts), nil
+}
 
 // Seeds returns the probing-pass seed programs (DSL text) delivered by the
 // attach handshake.
@@ -145,8 +154,8 @@ func (r *Resilient) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.conn != nil {
-		r.wire.Add(r.conn.WireStats())
-		r.conn.Close()
+		r.wire.Add(r.conn.wireStats())
+		r.conn.close()
 		r.conn = nil
 	}
 	return nil
@@ -159,14 +168,14 @@ func (r *Resilient) WireStats() WireStats {
 	defer r.mu.Unlock()
 	w := r.wire
 	if r.conn != nil {
-		w.Add(r.conn.WireStats())
+		w.Add(r.conn.wireStats())
 	}
 	return w
 }
 
 // get returns a live connection, redialing if needed. During cooldown it
 // fails immediately so operations against a dead broker stay cheap.
-func (r *Resilient) get() (*Conn, error) {
+func (r *Resilient) get() (*conn, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.fatal != nil {
@@ -179,31 +188,31 @@ func (r *Resilient) get() (*Conn, error) {
 	// redials, never a fuzzing decision, and replay runs in-process
 	// without a Resilient client at all.
 	if now := r.clockLocked()(); now.Before(r.downUntil) {
-		return nil, fmt.Errorf("%w: %s down, retry in %v",
-			ErrTransport, r.addr, r.downUntil.Sub(now).Round(time.Millisecond))
+		return nil, fmt.Errorf("%w: broker down, retry in %v",
+			ErrTransport, r.downUntil.Sub(now).Round(time.Millisecond))
 	}
-	conn, err := r.dial()
+	c, err := r.connect()
 	if err != nil {
 		r.noteFailureLocked()
 		return nil, err
 	}
-	rep, err := conn.Handshake()
+	rep, _, err := c.handshake()
 	if err != nil {
-		conn.Close()
+		c.close()
 		r.noteFailureLocked()
-		return nil, fmt.Errorf("adb: reattach %s: %w", r.addr, err)
+		return nil, fmt.Errorf("adb: reattach: %w", err)
 	}
 	if rep.Info.TargetHash != r.info.TargetHash {
-		conn.Close()
-		r.fatal = fmt.Errorf("adb: reattach %s: broker target changed (%#x -> %#x)",
-			r.addr, r.info.TargetHash, rep.Info.TargetHash)
+		c.close()
+		r.fatal = fmt.Errorf("adb: reattach: broker target changed (%#x -> %#x)",
+			r.info.TargetHash, rep.Info.TargetHash)
 		return nil, r.fatal
 	}
-	r.conn = conn
+	r.conn = c
 	r.info = rep.Info
 	r.failStreak = 0
 	r.downUntil = time.Time{}
-	return conn, nil
+	return c, nil
 }
 
 // noteFailureLocked arms the reconnect cooldown: an exponential envelope
@@ -258,12 +267,12 @@ func BackoffJitter(rng *rand.Rand, base, max time.Duration, streak int) time.Dur
 // drop discards a connection after a transport failure (unless a newer
 // connection already replaced it), folding its uplink accounting into the
 // client's running totals.
-func (r *Resilient) drop(c *Conn) {
+func (r *Resilient) drop(c *conn) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.conn == c {
-		r.wire.Add(c.WireStats())
-		r.conn.Close()
+		r.wire.Add(c.wireStats())
+		c.close()
 		r.conn = nil
 	}
 }
@@ -272,10 +281,10 @@ func (r *Resilient) drop(c *Conn) {
 // transport failures up to MaxAttempts times. Application-level errors
 // (*RemoteError) return immediately: the stream is healthy and the remote
 // broker rejected the request itself.
-func (r *Resilient) do(op func(c *Conn) error) error {
+func (r *Resilient) do(op func(c *conn) error) error {
 	var err error
 	for attempt := 0; attempt <= r.opts.MaxAttempts; attempt++ {
-		var c *Conn
+		var c *conn
 		if c, err = r.get(); err != nil {
 			if !errors.Is(err, ErrTransport) {
 				return err // fatal (target changed) or handshake rejection
@@ -290,19 +299,36 @@ func (r *Resilient) do(op func(c *Conn) error) error {
 	return err
 }
 
-// Exec implements Executor with reconnect-and-retry. The pooled result is
-// owned by the caller, who must Release it.
-func (r *Resilient) Exec(req ExecRequest) (res *ExecResult, err error) {
-	err = r.do(func(c *Conn) error {
-		res, err = c.Exec(req)
+// call runs one request with reconnect-and-retry. The same request crosses
+// the wire on every attempt.
+func (r *Resilient) call(req rpcRequest) (rep rpcReply, err error) {
+	err = r.do(func(c *conn) error {
+		rep, err = c.roundTrip(req)
 		return err
 	})
-	return res, err
+	return rep, err
 }
 
-// ExecProg implements Executor: the program is serialized once, before the
-// retry loop, and the same text crosses the wire on every attempt. The
-// pooled result is owned by the caller, who must Release it.
+// Exec implements Executor with reconnect-and-retry. Singleton executions
+// always carry the exact, uncompressed result — minimization and crash
+// triage depend on it; ExecBatch is where the wire-efficient encoding
+// lives. The result is freshly gob-allocated, but the caller owns it and
+// should Release it so pooling works when the executor is in-process.
+func (r *Resilient) Exec(req ExecRequest) (*ExecResult, error) {
+	rep, err := r.call(rpcRequest{Exec: &req})
+	if err != nil {
+		return nil, err
+	}
+	if rep.Result == nil {
+		return nil, &RemoteError{Msg: "adb: empty reply"}
+	}
+	return rep.Result, nil
+}
+
+// ExecProg implements Executor: the program crosses the wire in its
+// canonical text form, serialized once before the retry loop, and is
+// re-parsed by the device-side broker (the round trip is lossless). The
+// caller owns the result and should Release it.
 func (r *Resilient) ExecProg(p *dsl.Prog) (*ExecResult, error) {
 	return r.Exec(ExecRequest{ProgText: p.String()})
 }
@@ -319,7 +345,7 @@ func (r *Resilient) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 	remaining := req.Progs
 	var err error
 	for attempt := 0; attempt <= r.opts.MaxAttempts && len(remaining) > 0; attempt++ {
-		var c *Conn
+		var c *conn
 		if c, err = r.get(); err != nil {
 			if !errors.Is(err, ErrTransport) {
 				return out, err // fatal (target changed) or handshake rejection
@@ -327,7 +353,7 @@ func (r *Resilient) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 			continue
 		}
 		var res []*ExecResult
-		res, err = c.ExecBatch(ExecBatchRequest{Progs: remaining, Summary: req.Summary})
+		res, err = c.execBatch(ExecBatchRequest{Progs: remaining, Summary: req.Summary})
 		out = append(out, res...)
 		remaining = remaining[len(res):]
 		if err == nil || !errors.Is(err, ErrTransport) {
@@ -338,66 +364,70 @@ func (r *Resilient) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 	return out, err
 }
 
-// Ping implements Executor.
+// Ping implements Executor with a liveness round trip.
 func (r *Resilient) Ping() error {
-	return r.do(func(c *Conn) error { return c.Ping() })
+	rep, err := r.call(rpcRequest{Ping: true})
+	if err == nil && !rep.Pong {
+		err = &RemoteError{Msg: "adb: bad pong"}
+	}
+	return err
 }
 
-// Reboot implements Executor.
+// Reboot implements Executor: the device-side broker reboots its device.
 func (r *Resilient) Reboot() error {
-	return r.do(func(c *Conn) error { return c.Reboot() })
+	_, err := r.call(rpcRequest{Reboot: true})
+	return err
 }
 
-// Reset implements Executor. A reconnect mid-Reset is harmless: the worst
-// case is the device resetting twice, which is idempotent.
+// Reset implements Executor: the device-side broker restores its device
+// from the boot snapshot, rebooting only when restore cannot reach
+// pristine state; the reply reports which path ran. A reconnect mid-Reset
+// is harmless: the worst case is the device resetting twice, which is
+// idempotent.
 func (r *Resilient) Reset() (bool, error) {
-	var restored bool
-	err := r.do(func(c *Conn) error {
-		var e error
-		restored, e = c.Reset()
-		return e
-	})
-	return restored, err
+	rep, err := r.call(rpcRequest{Reset: true})
+	return rep.Restored, err
 }
 
-// ExportCheckpoint implements Cloner with reconnect-and-retry; the export
-// is read-only on the device, so retrying after a dropped link is safe.
+// ExportCheckpoint implements Cloner: the device-side broker serializes
+// its device state and ships the opaque blob back. The export is read-only
+// on the device, so retrying after a dropped link is safe.
 func (r *Resilient) ExportCheckpoint() ([]byte, error) {
-	var blob []byte
-	err := r.do(func(c *Conn) error {
-		var e error
-		blob, e = c.ExportCheckpoint()
-		return e
-	})
-	return blob, err
+	rep, err := r.call(rpcRequest{Export: true})
+	if err != nil {
+		return nil, err
+	}
+	if len(rep.Checkpoint) == 0 {
+		return nil, &RemoteError{Msg: "adb: empty checkpoint reply"}
+	}
+	return rep.Checkpoint, nil
 }
 
-// ImportCheckpoint implements Cloner with reconnect-and-retry; importing
-// the same blob twice is idempotent, so a retry after an ambiguous
-// transport failure cannot corrupt device state.
+// ImportCheckpoint implements Cloner: the device-side broker
+// re-materializes the blob onto its (same-model) device. Importing the
+// same blob twice is idempotent, so a retry after an ambiguous transport
+// failure cannot corrupt device state.
 func (r *Resilient) ImportCheckpoint(blob []byte) error {
-	return r.do(func(c *Conn) error {
-		return c.ImportCheckpoint(blob)
-	})
+	rep, err := r.call(rpcRequest{Import: &ImportRequest{Blob: blob}})
+	if err == nil && !rep.Imported {
+		err = &RemoteError{Msg: "adb: checkpoint import not acknowledged"}
+	}
+	return err
 }
 
 // Info implements Executor with a live round trip; on failure it returns
 // the last-known identity (ModelID and TargetHash stay valid — they are
 // pinned by the handshake) along with the error.
 func (r *Resilient) Info() (Info, error) {
-	var info Info
-	err := r.do(func(c *Conn) error {
-		var e error
-		info, e = c.Info()
-		return e
-	})
-	if err != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return r.info, err
+	rep, err := r.call(rpcRequest{Info: true})
+	if err == nil && rep.Info == nil {
+		err = &RemoteError{Msg: "adb: empty info reply"}
 	}
 	r.mu.Lock()
-	r.info = info
-	r.mu.Unlock()
-	return info, nil
+	defer r.mu.Unlock()
+	if err != nil {
+		return r.info, err
+	}
+	r.info = *rep.Info
+	return r.info, nil
 }

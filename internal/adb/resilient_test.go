@@ -196,7 +196,7 @@ func TestResilientRejectsChangedBroker(t *testing.T) {
 func newJitterClient(seed int64, now func() time.Time) *Resilient {
 	opts := ResilientOptions{BackoffBase: 100 * time.Millisecond, BackoffMax: 2 * time.Second}
 	opts.defaults()
-	r := &Resilient{addr: "jitter-test", opts: opts}
+	r := &Resilient{opts: opts}
 	r.now = now
 	r.rng = rand.New(rand.NewSource(seed))
 	return r

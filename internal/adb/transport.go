@@ -21,13 +21,13 @@ import (
 //
 // Wire protocol v2 is multiplexed: every request carries a sequence tag the
 // reply echoes, a dedicated writer goroutine owns the encoder and a reader
-// goroutine owns the decoder, and a configurable window bounds how many
-// requests may be in flight at once. The synchronous Executor API is a thin
-// submit-and-wait layer over that core, so serial callers behave exactly as
-// they did under the v1 lock-step protocol, while windowed callers (batched
-// engines, several workers sharing one Conn) overlap request framing with
-// device execution. See wire.go for the batched-execution RPC and the
-// delta-coded coverage uplink.
+// goroutine owns the decoder, and a window bounds how many requests may be
+// in flight at once. Resilient, the host-side Executor, runs every call as
+// a submit-and-wait round trip over that core, so serial callers behave
+// exactly as they did under the v1 lock-step protocol, while windowed
+// callers (batched engines, several workers sharing one client) overlap
+// request framing with device execution. See wire.go for the
+// batched-execution RPC and the delta-coded coverage uplink.
 
 // ErrTransport marks stream-level failures: a broken pipe, a garbled or
 // truncated frame, a deadline hit. Errors wrapping it mean the connection
@@ -95,8 +95,8 @@ type DescribeReply struct {
 	Seeds []string
 }
 
-// DefaultWindow is the in-flight request bound used when SetWindow was not
-// called.
+// DefaultWindow is the in-flight request bound used when
+// ResilientOptions.Window is not set.
 const DefaultWindow = 8
 
 // pendingCall is one in-flight request: the reader goroutine (or the
@@ -108,27 +108,21 @@ type pendingCall struct {
 	done chan struct{}
 }
 
-// Conn is the host side of a transport connection; it implements Executor.
-// A Conn is not resilient: the first stream-level failure poisons it (the
-// gob streams cannot resync) and every later call fails fast with the same
-// ErrTransport-wrapped error. Wrap it in Resilient for reconnection.
-//
-// The underlying stream should be closable (net.Conn, net.Pipe): poisoning
-// closes it to unblock the reader and writer goroutines.
-type Conn struct {
+// conn is one host-side transport stream, the core Resilient runs every
+// RPC over. A conn is not resilient: the first stream-level failure
+// poisons it (the gob streams cannot resync) and every later call fails
+// fast with the same ErrTransport-wrapped error. Poisoning closes the
+// stream to unblock the reader and writer goroutines.
+type conn struct {
 	mu      sync.Mutex
-	rwc     io.ReadWriter
-	enc     *gob.Encoder // owned by writeLoop once started
-	dec     *gob.Decoder // owned by readLoop once started
+	rwc     io.ReadWriteCloser
+	enc     *gob.Encoder // owned by writeLoop
+	dec     *gob.Decoder // owned by readLoop
 	timeout time.Duration
-	window  int
 	frame   int
 	broken  error
-	target  *dsl.Target
-	info    Info
 	stats   WireStats
 
-	started bool
 	nextTag uint64
 	pending map[uint64]*pendingCall
 	sendq   chan *pendingCall
@@ -136,113 +130,58 @@ type Conn struct {
 	quit    chan struct{}
 }
 
-var (
-	_ Executor      = (*Conn)(nil)
-	_ BatchExecutor = (*Conn)(nil)
-	_ Cloner        = (*Conn)(nil)
-)
-
-// Dial wraps an established byte stream as the host end.
-func Dial(rw io.ReadWriter) *Conn {
-	return &Conn{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw), rwc: rw}
-}
-
-// DialTCP connects to a broker served on a TCP address.
-func DialTCP(addr string) (*Conn, error) {
-	return DialTCPTimeout(addr, 0)
-}
-
-// DialTCPTimeout connects with a bounded dial; d <= 0 means no limit.
-func DialTCPTimeout(addr string, d time.Duration) (*Conn, error) {
-	c, err := net.DialTimeout("tcp", addr, d)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrTransport, addr, err)
+// newConn wraps an established stream and starts its writer and reader
+// goroutines. The call timeout, in-flight window and batch frame size
+// come from opts and are fixed for the stream's life.
+func newConn(rwc io.ReadWriteCloser, opts ResilientOptions) *conn {
+	window, frame := opts.Window, opts.BatchFrame
+	if window <= 0 {
+		window = DefaultWindow
 	}
-	return Dial(c), nil
-}
-
-// SetCallTimeout bounds the wait for every subsequent call's reply; 0
-// disables the bound. A timeout breaks the connection like any other
-// stream failure — the gob stream cannot be resynced around an abandoned
-// reply.
-func (c *Conn) SetCallTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.timeout = d
-	c.mu.Unlock()
-}
-
-// SetWindow bounds how many requests may be in flight at once (default
-// DefaultWindow). It must be called before the connection's first call;
-// later calls have no effect.
-func (c *Conn) SetWindow(n int) {
-	c.mu.Lock()
-	if !c.started && n > 0 {
-		c.window = n
+	if frame <= 0 {
+		frame = DefaultBatchFrame
 	}
-	c.mu.Unlock()
-}
-
-// SetBatchFrame bounds how many programs ExecBatch packs per wire frame
-// (default DefaultBatchFrame).
-func (c *Conn) SetBatchFrame(n int) {
-	c.mu.Lock()
-	if n > 0 {
-		c.frame = n
+	c := &conn{
+		rwc:     rwc,
+		enc:     gob.NewEncoder(rwc),
+		dec:     gob.NewDecoder(rwc),
+		timeout: opts.CallTimeout,
+		frame:   frame,
+		pending: make(map[uint64]*pendingCall, window),
+		sendq:   make(chan *pendingCall, window),
+		slots:   make(chan struct{}, window),
+		quit:    make(chan struct{}),
 	}
-	c.mu.Unlock()
+	go c.writeLoop()
+	go c.readLoop()
+	return c
 }
 
-// WireStats returns the uplink byte accounting reported by the broker for
-// this connection's batched executions (zero until the first batch reply).
-func (c *Conn) WireStats() WireStats {
+// wireStats returns the uplink byte accounting reported by the broker for
+// this stream's batched executions (zero until the first batch reply).
+func (c *conn) wireStats() WireStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
 }
 
-// Close closes the underlying stream when it is closable.
-func (c *Conn) Close() error {
-	if cl, ok := c.rwc.(io.Closer); ok {
-		return cl.Close()
-	}
-	return nil
-}
-
-// startLocked spins up the writer and reader goroutines on first use.
-// Called with c.mu held.
-func (c *Conn) startLocked() {
-	if c.started {
-		return
-	}
-	c.started = true
-	if c.window <= 0 {
-		c.window = DefaultWindow
-	}
-	c.pending = make(map[uint64]*pendingCall, c.window)
-	c.sendq = make(chan *pendingCall, c.window)
-	c.slots = make(chan struct{}, c.window)
-	c.quit = make(chan struct{})
-	go c.writeLoop()
-	go c.readLoop()
-}
+// close closes the underlying stream.
+func (c *conn) close() error { return c.rwc.Close() }
 
 // submit registers a request in the in-flight window and hands it to the
 // writer goroutine. It blocks while the window is full and fails fast once
 // the connection is poisoned.
-func (c *Conn) submit(req rpcRequest) (*pendingCall, error) {
+func (c *conn) submit(req rpcRequest) (*pendingCall, error) {
 	c.mu.Lock()
-	if c.broken != nil {
-		err := c.broken
-		c.mu.Unlock()
+	err := c.broken
+	c.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	c.startLocked()
-	slots, quit := c.slots, c.quit
-	c.mu.Unlock()
 
 	select {
-	case slots <- struct{}{}: // acquire a window slot
-	case <-quit:
+	case c.slots <- struct{}{}: // acquire a window slot
+	case <-c.quit:
 		c.mu.Lock()
 		err := c.broken
 		c.mu.Unlock()
@@ -252,7 +191,7 @@ func (c *Conn) submit(req rpcRequest) (*pendingCall, error) {
 	if c.broken != nil {
 		err := c.broken
 		c.mu.Unlock()
-		<-slots
+		<-c.slots
 		return nil, err
 	}
 	c.nextTag++
@@ -268,11 +207,8 @@ func (c *Conn) submit(req rpcRequest) (*pendingCall, error) {
 
 // wait blocks until the call completes or the call timeout fires (which
 // poisons the connection — an abandoned reply would desync the stream).
-func (c *Conn) wait(pc *pendingCall) (rpcReply, error) {
-	c.mu.Lock()
-	d := c.timeout
-	c.mu.Unlock()
-	if d > 0 {
+func (c *conn) wait(pc *pendingCall) (rpcReply, error) {
+	if d := c.timeout; d > 0 {
 		timer := time.NewTimer(d) //droidvet:nondet a call timeout only fails a wedged link; it never picks what the engine runs
 		defer timer.Stop()
 		select {
@@ -295,7 +231,7 @@ func (c *Conn) wait(pc *pendingCall) (rpcReply, error) {
 
 // writeLoop is the sole user of the encoder: it serializes queued requests
 // onto the wire in submission order.
-func (c *Conn) writeLoop() {
+func (c *conn) writeLoop() {
 	for {
 		select {
 		case pc := <-c.sendq:
@@ -317,7 +253,7 @@ func (c *Conn) writeLoop() {
 
 // readLoop is the sole user of the decoder: it matches each reply to its
 // in-flight call by tag and completes it, releasing the window slot.
-func (c *Conn) readLoop() {
+func (c *conn) readLoop() {
 	for {
 		var rep rpcReply
 		if err := c.dec.Decode(&rep); err != nil {
@@ -341,16 +277,12 @@ func (c *Conn) readLoop() {
 // fail poisons the connection: the first failure sticks, the stream is
 // closed to unblock the writer and reader goroutines, and every in-flight
 // call completes with the poisoning error.
-func (c *Conn) fail(err error) {
+func (c *conn) fail(err error) {
 	c.mu.Lock()
 	if c.broken == nil {
 		c.broken = err
-		if c.quit != nil {
-			close(c.quit)
-		}
-		if cl, ok := c.rwc.(io.Closer); ok {
-			cl.Close()
-		}
+		close(c.quit)
+		c.rwc.Close()
 	}
 	err = c.broken
 	stale := c.pending
@@ -366,7 +298,7 @@ func (c *Conn) fail(err error) {
 }
 
 // roundTrip performs one synchronous request over the async core.
-func (c *Conn) roundTrip(req rpcRequest) (rpcReply, error) {
+func (c *conn) roundTrip(req rpcRequest) (rpcReply, error) {
 	pc, err := c.submit(req)
 	if err != nil {
 		return rpcReply{}, err
@@ -374,135 +306,26 @@ func (c *Conn) roundTrip(req rpcRequest) (rpcReply, error) {
 	return c.wait(pc)
 }
 
-// Exec implements Executor over the transport. Singleton executions always
-// carry the exact, uncompressed result — minimization and crash triage
-// depend on it; the batched path (ExecBatch) is where the wire-efficient
-// encoding lives. The decoded result is pooled on the broker side only —
-// on this side it is freshly gob-allocated, but callers should still
-// Release it so pooling works when the executor is in-process.
-func (c *Conn) Exec(req ExecRequest) (*ExecResult, error) {
-	rep, err := c.roundTrip(rpcRequest{Exec: &req})
-	if err != nil {
-		return nil, err
-	}
-	if rep.Result == nil {
-		return nil, &RemoteError{Msg: "adb: empty reply"}
-	}
-	return rep.Result, nil
-}
-
-// ExecProg implements Executor: the program crosses the wire in its
-// canonical text form and is re-parsed by the device-side broker (the
-// round trip is lossless). As with Exec, the caller owns the result and
-// should Release it.
-func (c *Conn) ExecProg(p *dsl.Prog) (*ExecResult, error) {
-	return c.Exec(ExecRequest{ProgText: p.String()})
-}
-
-// Ping round-trips a liveness check.
-func (c *Conn) Ping() error {
-	rep, err := c.roundTrip(rpcRequest{Ping: true})
-	if err != nil {
-		return err
-	}
-	if !rep.Pong {
-		return &RemoteError{Msg: "adb: bad pong"}
-	}
-	return nil
-}
-
-// Reboot implements Executor: the device-side broker reboots its device.
-func (c *Conn) Reboot() error {
-	_, err := c.roundTrip(rpcRequest{Reboot: true})
-	return err
-}
-
-// Reset implements Executor: the device-side broker restores its device
-// from the boot snapshot, rebooting only when restore cannot reach
-// pristine state. The reply reports which path ran, so remote campaigns
-// account restores and reboots the same way local ones do.
-func (c *Conn) Reset() (bool, error) {
-	rep, err := c.roundTrip(rpcRequest{Reset: true})
-	if err != nil {
-		return false, err
-	}
-	return rep.Restored, nil
-}
-
-// ExportCheckpoint implements Cloner: the device-side broker serializes
-// its device state and ships the opaque blob back.
-func (c *Conn) ExportCheckpoint() ([]byte, error) {
-	rep, err := c.roundTrip(rpcRequest{Export: true})
-	if err != nil {
-		return nil, err
-	}
-	if len(rep.Checkpoint) == 0 {
-		return nil, &RemoteError{Msg: "adb: empty checkpoint reply"}
-	}
-	return rep.Checkpoint, nil
-}
-
-// ImportCheckpoint implements Cloner: the device-side broker
-// re-materializes the blob onto its (same-model) device.
-func (c *Conn) ImportCheckpoint(blob []byte) error {
-	rep, err := c.roundTrip(rpcRequest{Import: &ImportRequest{Blob: blob}})
-	if err != nil {
-		return err
-	}
-	if !rep.Imported {
-		return &RemoteError{Msg: "adb: checkpoint import not acknowledged"}
-	}
-	return nil
-}
-
-// Info implements Executor with a live identity round trip.
-func (c *Conn) Info() (Info, error) {
-	rep, err := c.roundTrip(rpcRequest{Info: true})
-	if err != nil {
-		return Info{}, err
-	}
-	if rep.Info == nil {
-		return Info{}, &RemoteError{Msg: "adb: empty info reply"}
-	}
-	c.mu.Lock()
-	c.info = *rep.Info
-	c.mu.Unlock()
-	return *rep.Info, nil
-}
-
-// Target implements Executor: the host-side target bound by Handshake (nil
-// before a successful handshake).
-func (c *Conn) Target() *dsl.Target {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.target
-}
-
-// Handshake performs the Describe round trip, rebuilds the device's
-// call-description target host-side, and verifies the rebuilt target
-// hashes to the device-reported fingerprint before binding it to the
-// connection. Engines attach to the Conn only after a clean handshake.
-func (c *Conn) Handshake() (*DescribeReply, error) {
+// handshake performs the Describe round trip, rebuilds the device's
+// call-description target host-side, and verifies that the rebuilt target
+// hashes to the device-reported fingerprint.
+func (c *conn) handshake() (*DescribeReply, *dsl.Target, error) {
 	rep, err := c.roundTrip(rpcRequest{Describe: true})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if rep.Describe == nil {
-		return nil, &RemoteError{Msg: "adb: empty describe reply"}
+		return nil, nil, &RemoteError{Msg: "adb: empty describe reply"}
 	}
 	target, err := dsl.NewTarget(rep.Describe.Calls...)
 	if err != nil {
-		return nil, fmt.Errorf("adb: handshake: rebuild target: %w", err)
+		return nil, nil, fmt.Errorf("adb: handshake: rebuild target: %w", err)
 	}
 	if h := target.Hash(); h != rep.Describe.Info.TargetHash {
-		return nil, fmt.Errorf("adb: handshake: target hash mismatch: host %#x, device %#x",
+		return nil, nil, fmt.Errorf("adb: handshake: target hash mismatch: host %#x, device %#x",
 			h, rep.Describe.Info.TargetHash)
 	}
-	c.mu.Lock()
-	c.target = target
-	c.info = rep.Describe.Info
-	c.mu.Unlock()
-	return rep.Describe, nil
+	return rep.Describe, target, nil
 }
 
 // Server is the device side of the transport: it dispatches protocol
@@ -667,15 +490,4 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 			_ = s.Serve(c)
 		}()
 	}
-}
-
-// Serve runs the device side of the protocol over rw with no seeds; see
-// (*Server).Serve.
-func Serve(rw io.ReadWriter, x Executor) error {
-	return (&Server{X: x}).Serve(rw)
-}
-
-// ServeTCP serves x on ln with no seeds; see (*Server).ServeTCP.
-func ServeTCP(ln net.Listener, x Executor) error {
-	return (&Server{X: x}).ServeTCP(ln)
 }

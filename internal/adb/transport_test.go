@@ -31,7 +31,7 @@ func TestServeSurvivesGarbageFrames(t *testing.T) {
 			b, _ := newBrokerRig(t, "B")
 			host, devSide := net.Pipe()
 			done := make(chan error, 1)
-			go func() { done <- Serve(devSide, b) }()
+			go func() { done <- (&Server{X: b}).Serve(devSide) }()
 			if len(tc.payload) > 0 {
 				host.SetWriteDeadline(time.Now().Add(time.Second))
 				host.Write(tc.payload)
@@ -65,9 +65,8 @@ func truncatedFrame(t *testing.T) []byte {
 		data, _ := io.ReadAll(srv)
 		buf <- data
 	}()
-	conn := Dial(cli)
-	conn.SetCallTimeout(100 * time.Millisecond)
-	conn.Ping() // fails on the recv side; the frame still went out
+	c := newConn(cli, ResilientOptions{CallTimeout: 100 * time.Millisecond})
+	c.roundTrip(rpcRequest{Ping: true}) // fails on the recv side; the frame still went out
 	cli.Close()
 	frame := <-buf
 	if len(frame) < 4 {
@@ -77,20 +76,20 @@ func truncatedFrame(t *testing.T) []byte {
 }
 
 // TestConnTypedErrorAfterStreamBreak: the first stream failure poisons the
-// Conn and every subsequent call fails fast with an ErrTransport-wrapped
+// conn and every subsequent call fails fast with an ErrTransport-wrapped
 // error instead of deadlocking on a desynchronized gob stream.
 func TestConnTypedErrorAfterStreamBreak(t *testing.T) {
 	b, _ := newBrokerRig(t, "B")
 	host, devSide := net.Pipe()
-	go Serve(devSide, b)
+	go (&Server{X: b}).Serve(devSide)
 
-	conn := Dial(host)
-	if err := conn.Ping(); err != nil {
+	c := newConn(host, ResilientOptions{})
+	if _, err := c.roundTrip(rpcRequest{Ping: true}); err != nil {
 		t.Fatal(err)
 	}
 	devSide.Close() // broker side drops mid-session
 	host.Close()
-	err := conn.Ping()
+	_, err := c.roundTrip(rpcRequest{Ping: true})
 	if err == nil {
 		t.Fatal("ping succeeded over a dead stream")
 	}
@@ -100,7 +99,7 @@ func TestConnTypedErrorAfterStreamBreak(t *testing.T) {
 	// Later calls fail fast with the same classification, no I/O.
 	start := time.Now()
 	for i := 0; i < 3; i++ {
-		if err := conn.Reboot(); !errors.Is(err, ErrTransport) {
+		if _, err := c.roundTrip(rpcRequest{Reboot: true}); !errors.Is(err, ErrTransport) {
 			t.Fatalf("poisoned conn returned %v", err)
 		}
 	}
@@ -114,12 +113,9 @@ func TestConnTypedErrorAfterStreamBreak(t *testing.T) {
 // keeps working.
 func TestRemoteErrorLeavesStreamHealthy(t *testing.T) {
 	b, _ := newBrokerRig(t, "B")
-	host, devSide := net.Pipe()
-	go Serve(devSide, b)
-	defer host.Close()
+	r := dialPipe(t, &Server{X: b}, ResilientOptions{})
 
-	conn := Dial(host)
-	_, err := conn.Exec(ExecRequest{ProgText: "garbage(\n"})
+	_, err := r.Exec(ExecRequest{ProgText: "garbage(\n"})
 	var rerr *RemoteError
 	if !errors.As(err, &rerr) {
 		t.Fatalf("bad program error = %v, want *RemoteError", err)
@@ -127,7 +123,7 @@ func TestRemoteErrorLeavesStreamHealthy(t *testing.T) {
 	if errors.Is(err, ErrTransport) {
 		t.Fatal("application error misclassified as transport failure")
 	}
-	if err := conn.Ping(); err != nil {
+	if err := r.Ping(); err != nil {
 		t.Fatalf("stream unusable after application error: %v", err)
 	}
 }
@@ -136,12 +132,9 @@ func TestRemoteErrorLeavesStreamHealthy(t *testing.T) {
 // identity handshake across the wire.
 func TestTransportRebootAndInfo(t *testing.T) {
 	b, target := newBrokerRig(t, "A1")
-	host, devSide := net.Pipe()
-	go Serve(devSide, b)
-	defer host.Close()
+	r := dialPipe(t, &Server{X: b}, ResilientOptions{})
 
-	conn := Dial(host)
-	info, err := conn.Info()
+	info, err := r.Info()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,47 +147,38 @@ func TestTransportRebootAndInfo(t *testing.T) {
 	if info.Reboots != 0 {
 		t.Fatalf("fresh device reboots = %d", info.Reboots)
 	}
-	if err := conn.Reboot(); err != nil {
+	if err := r.Reboot(); err != nil {
 		t.Fatal(err)
 	}
-	if info, _ = conn.Info(); info.Reboots != 1 {
+	if info, _ = r.Info(); info.Reboots != 1 {
 		t.Fatalf("reboot not reflected: %+v", info)
 	}
 }
 
-// TestHandshakeBindsVerifiedTarget: Handshake rebuilds the device's target
-// host-side, verifies the fingerprint, and makes the Conn a full Executor
-// (ExecProg over the wire against the bound target).
+// TestHandshakeBindsVerifiedTarget: the attach handshake rebuilds the
+// device's target host-side, verifies the fingerprint, and makes the client
+// a full Executor (ExecProg over the wire against the bound target).
 func TestHandshakeBindsVerifiedTarget(t *testing.T) {
 	b, target := newBrokerRig(t, "B")
-	host, devSide := net.Pipe()
 	srv := &Server{X: b, Seeds: []string{"r0 = open$hci(path=\"/dev/hci0\")\n"}}
-	go srv.Serve(devSide)
-	defer host.Close()
+	r := dialPipe(t, srv, ResilientOptions{})
 
-	conn := Dial(host)
-	if conn.Target() != nil {
-		t.Fatal("target bound before handshake")
-	}
-	rep, err := conn.Handshake()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := conn.Target(); got == nil || got.Hash() != target.Hash() {
+	if got := r.Target(); got == nil || got.Hash() != target.Hash() {
 		t.Fatalf("rebuilt target hash mismatch")
 	}
-	if len(rep.Seeds) != 1 {
-		t.Fatalf("seeds = %v", rep.Seeds)
+	seeds := r.Seeds()
+	if len(seeds) != 1 {
+		t.Fatalf("seeds = %v", seeds)
 	}
-	if len(rep.Calls) != len(target.Calls()) {
-		t.Fatalf("calls = %d, want %d", len(rep.Calls), len(target.Calls()))
+	if got, want := len(r.Target().Calls()), len(target.Calls()); got != want {
+		t.Fatalf("calls = %d, want %d", got, want)
 	}
 	// The rebuilt target parses and executes programs end to end.
-	p, err := dsl.ParseProg(conn.Target(), rep.Seeds[0])
+	p, err := dsl.ParseProg(r.Target(), seeds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := conn.ExecProg(p)
+	res, err := r.ExecProg(p)
 	if err != nil {
 		t.Fatal(err)
 	}

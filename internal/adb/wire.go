@@ -15,14 +15,14 @@ import (
 // verdicts it would have computed locally, at a fraction of the bytes.
 
 // DefaultBatchFrame is how many programs ExecBatch packs per wire frame
-// when SetBatchFrame was not called. Frames pipeline through the in-flight
+// when ResilientOptions.BatchFrame is not set. Frames pipeline through the in-flight
 // window, so a large batch becomes several frames in flight at once.
 const DefaultBatchFrame = 16
 
 // BatchExecutor is the optional batched-execution extension of Executor:
 // run several programs back to back and return one result per program (a
-// nil entry marks a program that failed to execute). The in-process Broker,
-// the transport Conn, and the Resilient client implement it.
+// nil entry marks a program that failed to execute). The in-process Broker
+// and the Resilient client implement it.
 type BatchExecutor interface {
 	ExecBatch(req ExecBatchRequest) ([]*ExecResult, error)
 }
@@ -203,19 +203,9 @@ func (w *WireResult) decode() (*ExecResult, error) {
 	return r, nil
 }
 
-// frameSize returns the per-frame program bound.
-func (c *Conn) frameSize() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.frame > 0 {
-		return c.frame
-	}
-	return DefaultBatchFrame
-}
-
 // noteWire records the cumulative uplink accounting the broker reported
 // for this connection.
-func (c *Conn) noteWire(rep *ExecBatchReply) {
+func (c *conn) noteWire(rep *ExecBatchReply) {
 	c.mu.Lock()
 	c.stats = WireStats{
 		Execs:        rep.Execs,
@@ -226,45 +216,26 @@ func (c *Conn) noteWire(rep *ExecBatchReply) {
 	c.mu.Unlock()
 }
 
-// ExecBatch implements BatchExecutor over the transport: the batch is
-// split into frames of at most SetBatchFrame programs, the frames are
-// submitted through the in-flight window (so several are on the wire or
-// executing while earlier replies are still being decoded), and results
-// are collected in submission order. On a transport failure it returns the
-// results of every fully acknowledged frame along with the error — the
-// unacknowledged tail is the caller's to retry (Resilient does exactly
-// that). A nil entry marks a program the broker rejected; the slice always
-// aligns index-for-index with the acknowledged prefix of req.Progs.
-// Non-nil results are pooled and owned by the caller (Release each).
-func (c *Conn) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
+// execBatch runs a batch over the stream: the batch is split into frames
+// of at most the stream's frame size, the frames are submitted through the
+// in-flight window (so several are on the wire or executing while earlier
+// replies are still being decoded), and results are collected in
+// submission order. On a transport failure it returns the results of every
+// fully acknowledged frame along with the error — the unacknowledged tail
+// is the caller's to retry (Resilient does exactly that). A reply whose
+// result count differs from its frame's program count poisons the stream:
+// its results cannot be attributed to programs. A nil entry marks a
+// program the broker rejected; the slice always aligns index-for-index
+// with the acknowledged prefix of req.Progs. Non-nil results are pooled
+// and owned by the caller (Release each).
+func (c *conn) execBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 	n := len(req.Progs)
 	if n == 0 {
 		return nil, nil
 	}
-	frame := c.frameSize()
-	nFrames := (n + frame - 1) / frame
-	type submitted struct {
-		pc  *pendingCall
-		err error
-	}
-	frames := make(chan submitted, nFrames)
-	go func() {
-		defer close(frames)
-		for start := 0; start < n; start += frame {
-			end := start + frame
-			if end > n {
-				end = n
-			}
-			pc, err := c.submit(rpcRequest{Batch: &ExecBatchRequest{
-				Progs:   req.Progs[start:end],
-				Summary: req.Summary,
-			}})
-			frames <- submitted{pc, err}
-			if err != nil {
-				return
-			}
-		}
-	}()
+	nFrames := (n + c.frame - 1) / c.frame
+	frames := make(chan frameCall, nFrames)
+	go c.submitFrames(req, frames)
 	out := make([]*ExecResult, 0, n)
 	for s := range frames {
 		if s.err != nil {
@@ -278,6 +249,12 @@ func (c *Conn) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 		}
 		if rep.Batch == nil {
 			return out, &RemoteError{Msg: "adb: empty batch reply"}
+		}
+		if got := len(rep.Batch.Results); got != s.size {
+			err := fmt.Errorf("%w: batch reply carries %d results for %d programs",
+				ErrTransport, got, s.size)
+			c.fail(err)
+			return out, err
 		}
 		for i := range rep.Batch.Results {
 			w := &rep.Batch.Results[i]
@@ -295,6 +272,34 @@ func (c *Conn) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 		c.noteWire(rep.Batch)
 	}
 	return out, nil
+}
+
+// frameCall is one submitted batch frame: its call and program count, or
+// the error that stopped submission.
+type frameCall struct {
+	pc   *pendingCall
+	size int
+	err  error
+}
+
+// submitFrames submits req through the window in frames of at most the
+// stream's frame size, in order, stopping at the first submission error.
+// frames must be buffered for every frame, so sends never block; it is
+// closed on return.
+func (c *conn) submitFrames(req ExecBatchRequest, frames chan<- frameCall) {
+	defer close(frames)
+	n := len(req.Progs)
+	for start := 0; start < n; start += c.frame {
+		end := min(start+c.frame, n)
+		pc, err := c.submit(rpcRequest{Batch: &ExecBatchRequest{
+			Progs:   req.Progs[start:end],
+			Summary: req.Summary,
+		}})
+		frames <- frameCall{pc, end - start, err}
+		if err != nil {
+			return
+		}
+	}
 }
 
 // execBatch is the server side of ExecBatch: run every program in the

@@ -135,7 +135,8 @@ func DefaultConfig() Config {
 			},
 		},
 		LockTypes: []string{
-			"droidfuzz/internal/adb.Conn",
+			"droidfuzz/internal/adb.conn",
+			"droidfuzz/internal/adb.Resilient",
 			"droidfuzz/internal/feedback.SpecTable",
 			"droidfuzz/internal/daemon.Daemon",
 			"droidfuzz/internal/relation.Graph",
@@ -249,7 +250,7 @@ func DefaultConfig() Config {
 			"droidfuzz/internal/coord",
 		},
 		GoShutdownChans: []string{
-			// quit: the transport writeLoop's poison channel (Conn.fail
+			// quit: the transport writeLoop's poison channel (conn.fail
 			// closes it). Done: context.Context.Done() for any future
 			// ctx-threaded worker.
 			"quit",

@@ -10,8 +10,8 @@ import (
 )
 
 // checkLockOrder records the mutex acquisition order across the configured
-// lock-carrying types (adb.Conn, feedback.SpecTable, daemon.Daemon,
-// relation.Graph) and flags
+// lock-carrying types (adb.conn, adb.Resilient, feedback.SpecTable,
+// daemon.Daemon, relation.Graph) and flags
 //
 //   - inversions: some path acquires A's mutex while holding B's and
 //     another acquires B's while holding A's — the classic deadlock pair;

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"io"
 	"net"
 	"sort"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"droidfuzz/internal/device"
 	"droidfuzz/internal/dsl"
 	"droidfuzz/internal/engine"
+	"droidfuzz/internal/feedback"
 	"droidfuzz/internal/probe"
 	"droidfuzz/internal/relation"
 )
@@ -69,7 +71,9 @@ func TestSerialRunMatchesGoldenStats(t *testing.T) {
 // target rebuilt from the Describe handshake) must produce bit-identical
 // campaign stats and crash titles to the in-process engine for the same
 // seed. Any divergence means the text round trip or the handshake target
-// reconstruction is lossy.
+// reconstruction is lossy. The second case serves the way droidbrokerd
+// does, with a per-connection uplink filter: the filter observes every
+// singleton execution but must never elide one.
 func TestSerialRemoteEngineMatchesInProcess(t *testing.T) {
 	const (
 		modelID = "B" // carries shallow bugs, so crash paths are exercised
@@ -88,43 +92,54 @@ func TestSerialRemoteEngineMatchesInProcess(t *testing.T) {
 	}
 	local.Run(iters)
 
-	// Remote twin: an identical device probed identically, served over a
-	// net.Pipe transport; the host engine learns the target and seeds
-	// exclusively from the handshake.
-	dev := device.New(model)
-	target, pr, err := probe.Target(dev, probe.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedTexts := make([]string, len(pr.Seeds))
-	for i, p := range pr.Seeds {
-		seedTexts[i] = p.String()
-	}
-	srv := &adb.Server{X: adb.NewBroker(dev, target), Seeds: seedTexts}
-	host, devSide := net.Pipe()
-	go srv.Serve(devSide)
-	defer host.Close()
+	for _, tc := range []struct {
+		name   string
+		filter bool
+	}{{"plain", false}, {"uplink_filter", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Remote twin: an identical device probed identically, served
+			// over a net.Pipe transport; the host engine learns the target
+			// and seeds exclusively from the handshake.
+			dev := device.New(model)
+			target, pr, err := probe.Target(dev, probe.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seedTexts := make([]string, len(pr.Seeds))
+			for i, p := range pr.Seeds {
+				seedTexts[i] = p.String()
+			}
+			srv := &adb.Server{X: adb.NewBroker(dev, target), Seeds: seedTexts}
+			if tc.filter {
+				srv.NewFilter = func() adb.UplinkFilter { return feedback.NewUplinkFilter(target) }
+			}
+			r, err := adb.NewResilient(func() (io.ReadWriteCloser, error) {
+				host, devSide := net.Pipe()
+				go srv.Serve(devSide)
+				return host, nil
+			}, adb.ResilientOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
 
-	conn := adb.Dial(host)
-	rep, err := conn.Handshake()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := make([]*dsl.Prog, len(rep.Seeds))
-	for i, text := range rep.Seeds {
-		if seeds[i], err = dsl.ParseProg(conn.Target(), text); err != nil {
-			t.Fatalf("handshake seed %d: %v", i, err)
-		}
-	}
-	remote := engine.New(conn, relation.New(), crash.NewDedup(), engine.Config{Seed: seed})
-	remote.SeedCorpus(seeds)
-	remote.Run(iters)
+			seeds := make([]*dsl.Prog, len(r.Seeds()))
+			for i, text := range r.Seeds() {
+				if seeds[i], err = dsl.ParseProg(r.Target(), text); err != nil {
+					t.Fatalf("handshake seed %d: %v", i, err)
+				}
+			}
+			remote := engine.New(r, relation.New(), crash.NewDedup(), engine.Config{Seed: seed})
+			remote.SeedCorpus(seeds)
+			remote.Run(iters)
 
-	if ls, rs := local.Stats(), remote.Stats(); ls != rs {
-		t.Errorf("remote campaign diverged from in-process:\n local  %+v\n remote %+v", ls, rs)
-	}
-	if lt, rt := dedupTitles(local.Dedup()), dedupTitles(remote.Dedup()); !equalStrings(lt, rt) {
-		t.Errorf("crash titles diverged:\n local  %v\n remote %v", lt, rt)
+			if ls, rs := local.Stats(), remote.Stats(); ls != rs {
+				t.Errorf("remote campaign diverged from in-process:\n local  %+v\n remote %+v", ls, rs)
+			}
+			if lt, rt := dedupTitles(local.Dedup()), dedupTitles(remote.Dedup()); !equalStrings(lt, rt) {
+				t.Errorf("crash titles diverged:\n local  %v\n remote %v", lt, rt)
+			}
+		})
 	}
 }
 

@@ -30,7 +30,7 @@ func serveBrokerTCP(t *testing.T, modelID string) (string, net.Listener) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go adb.ServeTCP(ln, adb.NewBroker(dev, target))
+	go (&adb.Server{X: adb.NewBroker(dev, target)}).ServeTCP(ln)
 	t.Cleanup(func() { ln.Close() })
 	return ln.Addr().String(), ln
 }
@@ -108,12 +108,12 @@ func TestFleetSurvivesDeadRemoteBroker(t *testing.T) {
 func TestAttachExecutorRejectsUnboundAndDuplicate(t *testing.T) {
 	addr, _ := serveBrokerTCP(t, "A1")
 	d := New()
-	// A raw Conn without a handshake has no target.
-	conn, err := adb.DialTCP(addr)
+	// A broker built without a target has none to bind.
+	model, err := device.ModelByID("A1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AttachExecutor("X", conn, nil, engine.Config{Seed: 1}); err == nil {
+	if err := d.AttachExecutor("X", adb.NewBroker(device.New(model), nil), nil, engine.Config{Seed: 1}); err == nil {
 		t.Fatal("unbound executor attached")
 	}
 	r := fastResilient(t, addr)

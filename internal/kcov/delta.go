@@ -4,13 +4,17 @@ import "errors"
 
 // Delta codec for PC traces crossing the executor wire (transport v2).
 //
-// A kcov trace is an ordered sequence of 32-bit PCs whose consecutive values
-// cluster tightly — loops revisit neighbouring driver blocks — so encoding
-// each PC as the zigzag-mapped difference from its predecessor in LEB128
-// varint form shrinks the common case to one or two bytes per hit while
-// remaining lossless for arbitrary (including unsorted) traces. Order is
-// preserved: the decoder reproduces the exact input sequence, so per-call
-// attribution and directional feedback survive the round trip.
+// A kcov trace is an ordered sequence of 32-bit PCs. On a real kernel,
+// consecutive PCs cluster tightly — loops revisit neighbouring driver
+// blocks — so encoding each PC as the zigzag-mapped difference from its
+// predecessor in LEB128 varint form shrinks the common case to one or two
+// bytes per hit. This substrate's PCs are FNV-32a hashes of cover sites
+// (see PC), so their deltas spread over the whole 32-bit range and code to
+// about 5 bytes each, against 4 in the flat form; here the summary uplink
+// saves bytes only by eliding traces. The codec is lossless for arbitrary
+// (including unsorted) traces and preserves order: the decoder reproduces
+// the exact input sequence, so per-call attribution and directional
+// feedback survive the round trip.
 
 var (
 	// ErrDeltaTruncated reports a varint cut off mid-value.
