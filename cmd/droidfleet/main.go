@@ -5,7 +5,7 @@
 // Usage:
 //
 //	droidfleet -devices A1,B,D -iters 20000 [-seed 1] [-workers 4]
-//	           [-pipeline 4] [-batch 32] [-window 8] [-params]
+//	           [-pipeline 4] [-batch 32] [-params]
 //	           [-reset never|exec|batch] [-lineage K] [-lineage-len L]
 //	           [-rounds 4] [-corpus DIR] [-status status.json]
 //	droidfleet -remote 127.0.0.1:7100,127.0.0.1:7101 -iters 20000 ...
@@ -23,11 +23,11 @@
 // bit-identically. Engines of a multi-device fleet run concurrently and
 // land their learns in whatever order their calls finish, so such a fleet
 // is not byte-reproducible.
-// With -remote, batching is the wire-protocol-v2 fast path — batched
-// frames, delta-coded traces, and the interesting-only summary uplink —
-// and -window bounds how many frames each connection keeps in flight. The campaign runs in -rounds slices,
-// printing fleet stats — including accumulated execution errors — after
-// each, plus per-connection uplink byte savings for remote campaigns.
+// With -remote, batching is the wire-protocol-v2 fast path — one frame
+// per batch, delta-coded traces, and the interesting-only summary uplink.
+// The campaign runs in -rounds slices, printing fleet stats — including
+// accumulated execution errors — after each, plus per-connection uplink
+// byte savings for remote campaigns.
 //
 // -params enables the runtime-parameter dimension: probing discovers
 // writable sysfs knobs, the targets gain their write descriptions, and the
@@ -92,7 +92,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "max concurrent device engines (0 = NumCPU)")
 		pipeline   = flag.Int("pipeline", 0, "per-engine generation look-ahead depth (0 = serial)")
 		batch      = flag.Int("batch", 0, "programs per execution batch (0 = per-program execution; N > 1 generates N programs ahead)")
-		window     = flag.Int("window", 0, "in-flight requests per remote connection (0 = transport default)")
 		rounds     = flag.Int("rounds", 4, "status-report slices to split the campaign into")
 		params     = flag.Bool("params", false, "enable the runtime-parameter dimension (sysfs knob writes in the mutation surface)")
 		reset      = flag.String("reset", "never", "pristine-reset campaign mode: never, exec, or batch")
@@ -111,7 +110,7 @@ func main() {
 		devices: *devices, remote: *remote,
 		coord: *coordAddr, hostName: *hostName,
 		iters: *iters, seed: *seed, workers: *workers,
-		pipeline: *pipeline, batch: *batch, window: *window,
+		pipeline: *pipeline, batch: *batch,
 		rounds: *rounds, params: *params,
 		reset: *reset, lineage: *lineage, lineageLen: *lineageLen,
 		corpusDir: *corpusDir, statusOut: *statusOut,
@@ -132,7 +131,6 @@ type fleetConfig struct {
 	workers    int
 	pipeline   int
 	batch      int
-	window     int
 	rounds     int
 	params     bool
 	reset      string
@@ -157,8 +155,6 @@ func (c *fleetConfig) validate() error {
 		return fmt.Errorf("-workers must be >= 0, got %d", c.workers)
 	case c.batch < 0:
 		return fmt.Errorf("-batch must be >= 0, got %d", c.batch)
-	case c.window < 0:
-		return fmt.Errorf("-window must be >= 0, got %d", c.window)
 	}
 	if c.remote != "" && c.coord != "" {
 		return fmt.Errorf("-remote and -coord are mutually exclusive")
@@ -205,8 +201,8 @@ func run(cfg fleetConfig) error {
 	if cfg.remote != "" {
 		mode = "remote"
 	}
-	fmt.Printf("fleet: %s (%s, workers=%d pipeline=%d batch=%d window=%d)\n",
-		strings.Join(d.Devices(), ", "), mode, cfg.workers, cfg.pipeline, cfg.batch, cfg.window)
+	fmt.Printf("fleet: %s (%s, workers=%d pipeline=%d batch=%d)\n",
+		strings.Join(d.Devices(), ", "), mode, cfg.workers, cfg.pipeline, cfg.batch)
 	campaign(d, cfg.iters, cfg.rounds, func() { printStats(d) })
 	printWireStats(remotes)
 	return report(d, cfg)
@@ -341,7 +337,7 @@ func attachRemotes(d *daemon.Daemon, cfg fleetConfig) (map[string]*adb.Resilient
 	remotes := make(map[string]*adb.Resilient, len(addrs))
 	seen := make(map[string]int)
 	for i, addr := range addrs {
-		r, err := adb.DialResilient(addr, adb.ResilientOptions{Window: cfg.window})
+		r, err := adb.DialResilient(addr, adb.ResilientOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("attach %s: %w", addr, err)
 		}

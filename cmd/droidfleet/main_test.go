@@ -29,7 +29,6 @@ func TestValidate(t *testing.T) {
 		{"negative pipeline", func(c *fleetConfig) { c.pipeline = -1 }, "-pipeline"},
 		{"negative workers", func(c *fleetConfig) { c.workers = -1 }, "-workers"},
 		{"negative batch", func(c *fleetConfig) { c.batch = -1 }, "-batch"},
-		{"negative window", func(c *fleetConfig) { c.window = -1 }, "-window"},
 		{"unknown device", func(c *fleetConfig) { c.devices = "A1,Z9" }, "unknown device model"},
 		{"remote and coord", func(c *fleetConfig) { c.remote, c.coord = "127.0.0.1:7100", "127.0.0.1:7200" }, "mutually exclusive"},
 		{"remote ignores devices", func(c *fleetConfig) { c.remote, c.devices = "127.0.0.1:7100", "Z9" }, ""},

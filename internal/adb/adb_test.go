@@ -12,7 +12,7 @@ import (
 	"droidfuzz/internal/dsl"
 )
 
-func newBrokerRig(t *testing.T, modelID string) (*Broker, *dsl.Target) {
+func newBrokerRig(t testing.TB, modelID string) (*Broker, *dsl.Target) {
 	t.Helper()
 	m, err := device.ModelByID(modelID)
 	if err != nil {

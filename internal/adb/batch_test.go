@@ -6,74 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// TestRepliesMatchedByTagOutOfOrder drives the multiplexed core against a
-// hand-rolled server that answers two in-flight requests in reverse order:
-// each caller must still receive its own result, matched by sequence tag
-// rather than reply order.
-func TestRepliesMatchedByTagOutOfOrder(t *testing.T) {
-	host, dev := net.Pipe()
-	c := newConn(host, ResilientOptions{Window: 2, CallTimeout: 5 * time.Second})
-
-	// Server: collect both requests, then reply last-received first. The
-	// reply payload encodes which program the request carried, so the client
-	// side can detect a mismatched delivery.
-	go func() {
-		enc := gob.NewEncoder(dev)
-		dec := gob.NewDecoder(dev)
-		var reqs []rpcRequest
-		for len(reqs) < 2 {
-			var req rpcRequest
-			if err := dec.Decode(&req); err != nil {
-				t.Errorf("server decode: %v", err)
-				return
-			}
-			reqs = append(reqs, req)
-		}
-		for i := len(reqs) - 1; i >= 0; i-- {
-			req := reqs[i]
-			var ret uint64
-			switch req.Exec.ProgText {
-			case "prog-one":
-				ret = 111
-			case "prog-two":
-				ret = 222
-			}
-			rep := rpcReply{Tag: req.Tag, Result: &ExecResult{
-				Calls: []CallResult{{Executed: true, Errno: "OK", Ret: ret}},
-			}}
-			if err := enc.Encode(&rep); err != nil {
-				t.Errorf("server encode: %v", err)
-				return
-			}
-		}
-	}()
-
-	want := map[string]uint64{"prog-one": 111, "prog-two": 222}
-	var wg sync.WaitGroup
-	for text, ret := range want {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rep, err := c.roundTrip(rpcRequest{Exec: &ExecRequest{ProgText: text}})
-			if err != nil {
-				t.Errorf("%s: %v", text, err)
-				return
-			}
-			if got := rep.Result.Calls[0].Ret; got != ret {
-				t.Errorf("%s: got reply for Ret=%d, want %d (reply crossed tags)", text, got, ret)
-			}
-		}()
-	}
-	wg.Wait()
-	c.close()
-	dev.Close()
-}
 
 // stubFilter is an UplinkFilter that calls everything after the first
 // observation boring, making elision decisions deterministic for tests.
@@ -148,13 +84,28 @@ func TestExecBatchSummaryElidesRepeats(t *testing.T) {
 	}
 }
 
-// TestExecBatchFramingAndRejects splits a batch across several wire frames
-// and plants an unparseable program in the middle: results must align
-// index-for-index, with exactly the bad program marked nil.
+// TestExecBatchFramingAndRejects plants an unparseable program in the
+// middle of a batch: the whole batch must cross the wire as one frame, and
+// the results must align index-for-index, with exactly the bad program
+// marked nil.
 func TestExecBatchFramingAndRejects(t *testing.T) {
 	b, _ := newBrokerRig(t, "A1")
-	// 5 programs -> 3 frames through the window.
-	r := dialPipe(t, &Server{X: b}, ResilientOptions{CallTimeout: 5 * time.Second, BatchFrame: 2})
+	srv := &Server{X: b}
+	var frames atomic.Int64
+	r, err := NewResilient(func() (io.ReadWriteCloser, error) {
+		host, dev := net.Pipe()
+		go serveHooked(srv, dev, func(req *rpcRequest, _ *rpcReply) bool {
+			if req.Batch != nil {
+				frames.Add(1)
+			}
+			return true
+		})
+		return host, nil
+	}, ResilientOptions{CallTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 
 	short := `r0 = open$tcpc(path="/dev/tcpc0")
 close$tcpc(fd=r0)
@@ -163,6 +114,9 @@ close$tcpc(fd=r0)
 	results, err := r.ExecBatch(ExecBatchRequest{Progs: progs})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := frames.Load(); n != 1 {
+		t.Fatalf("batch crossed the wire in %d frames, want 1", n)
 	}
 	if len(results) != len(progs) {
 		t.Fatalf("results = %d, want %d", len(results), len(progs))
@@ -179,74 +133,39 @@ close$tcpc(fd=r0)
 			t.Fatalf("program %d dropped", i)
 		}
 		if len(res.Calls) != wantCalls[i] {
-			t.Fatalf("program %d: %d calls, want %d (frame misalignment?)",
+			t.Fatalf("program %d: %d calls, want %d (misaligned results?)",
 				i, len(res.Calls), wantCalls[i])
 		}
 	}
 }
 
-// TestResilientBatchTailRetry kills the broker connection right after it
-// acknowledges the first frame of a batch: the resilient client must
-// resubmit only the unacknowledged tail on the fresh connection, and its
-// wire accounting must accumulate across both connections.
+// TestResilientBatchTailRetry severs the broker stream right after it
+// answers a batch: the next batch must fail on the dead stream, redial,
+// and run in full on the fresh one, and the client's wire accounting and
+// the broker's served-frame count must span both streams.
 func TestResilientBatchTailRetry(t *testing.T) {
 	b, _ := newBrokerRig(t, "A1")
 	srv := &Server{X: b}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var served atomic.Int64 // batch frames handled across all connections
-	var kill atomic.Bool    // first connection dies after its first frame
-	kill.Store(true)
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
+	var served atomic.Int64 // batch frames answered across all streams
+	var dials atomic.Int64
+	r, err := NewResilient(func() (io.ReadWriteCloser, error) {
+		host, dev := net.Pipe()
+		first := dials.Add(1) == 1
+		go serveHooked(srv, dev, func(req *rpcRequest, _ *rpcReply) bool {
+			if req.Batch == nil {
+				return true
 			}
-			go func() {
-				defer c.Close()
-				enc := gob.NewEncoder(c)
-				dec := gob.NewDecoder(c)
-				st := &connState{}
-				for {
-					req, err := decodeRequest(dec)
-					if err != nil {
-						return
-					}
-					rep := srv.handle(req, st)
-					rep.Tag = req.Tag
-					// Count the frame before replying: once the client
-					// has the last reply, the test reads served.
-					if req.Batch != nil {
-						served.Add(1)
-					}
-					err = enc.Encode(&rep)
-					rep.Result.Release()
-					if err != nil {
-						return
-					}
-					if req.Batch != nil && kill.Swap(false) {
-						return // sever the stream mid-batch
-					}
-				}
-			}()
-		}
-	}()
-
-	r, err := DialResilient(ln.Addr().String(), ResilientOptions{
-		DialTimeout: time.Second,
+			// Count the frame before replying: once the client has the
+			// last reply, the test reads served.
+			served.Add(1)
+			return !first // the first stream dies after its first batch
+		})
+		return host, nil
+	}, ResilientOptions{
 		CallTimeout: 2 * time.Second,
 		MaxAttempts: 2,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  5 * time.Millisecond,
-		// Window 1 makes the cut deterministic: frame 1 is acknowledged
-		// before frame 2 ever enters the send queue.
-		Window:     1,
-		BatchFrame: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,25 +173,28 @@ func TestResilientBatchTailRetry(t *testing.T) {
 	defer r.Close()
 
 	progs := []string{benignProg, benignProg, benignProg, benignProg, benignProg}
-	results, err := r.ExecBatch(ExecBatchRequest{Progs: progs})
-	if err != nil {
-		t.Fatalf("batch did not survive the reconnect: %v", err)
-	}
-	if len(results) != len(progs) {
-		t.Fatalf("results = %d, want %d", len(results), len(progs))
-	}
-	for i, res := range results {
-		if res == nil || len(res.Calls) != 3 {
-			t.Fatalf("result %d wrong after retry: %+v", i, res)
+	for batch := 0; batch < 2; batch++ {
+		results, err := r.ExecBatch(ExecBatchRequest{Progs: progs})
+		if err != nil {
+			t.Fatalf("batch %d did not survive the severed stream: %v", batch, err)
+		}
+		if len(results) != len(progs) {
+			t.Fatalf("batch %d: results = %d, want %d", batch, len(results), len(progs))
+		}
+		for i, res := range results {
+			if res == nil || len(res.Calls) != 3 {
+				t.Fatalf("batch %d: result %d wrong: %+v", batch, i, res)
+			}
 		}
 	}
-	// Exactly one frame (2 programs) was acknowledged before the cut, so the
-	// retry must have carried 3 programs, not all 5.
-	if w := r.WireStats(); w.Execs != uint64(len(progs)) {
-		t.Fatalf("wire stats across reconnect = %+v, want Execs=%d (tail-only retry)", w, len(progs))
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("dials = %d, want 2 (one redial)", n)
 	}
-	if n := served.Load(); n != 1+2 {
-		t.Fatalf("broker served %d frames, want 3 (1 before the cut, 2 after)", n)
+	if w := r.WireStats(); w.Execs != 2*uint64(len(progs)) {
+		t.Fatalf("wire stats across the redial = %+v, want Execs=%d", w, 2*len(progs))
+	}
+	if n := served.Load(); n != 2 {
+		t.Fatalf("broker served %d batch frames, want 2 (one per stream)", n)
 	}
 }
 
@@ -292,55 +214,14 @@ func TestBrokerExecBatchInProcess(t *testing.T) {
 	}
 }
 
-// TestWindowFullSubmittersUnblockOnPoison fills the window against a server
-// that never answers, then breaks the stream: every waiter — including ones
-// still blocked acquiring a window slot — must fail fast with ErrTransport.
-func TestWindowFullSubmittersUnblockOnPoison(t *testing.T) {
-	host, dev := net.Pipe()
-	c := newConn(host, ResilientOptions{Window: 1})
-
-	// Swallow the requests without ever replying.
-	go func() {
-		dec := gob.NewDecoder(dev)
-		for {
-			var req rpcRequest
-			if dec.Decode(&req) != nil {
-				return
-			}
-		}
-	}()
-
-	errs := make(chan error, 3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			_, err := c.roundTrip(rpcRequest{Ping: true})
-			errs <- err
-		}()
-	}
-	time.Sleep(20 * time.Millisecond) // let one occupy the slot, two queue behind it
-	c.fail(errors.New("adb: transport failure (injected)"))
-	for i := 0; i < 3; i++ {
-		select {
-		case err := <-errs:
-			if err == nil {
-				t.Fatal("call succeeded on a poisoned connection")
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("caller still blocked after poison")
-		}
-	}
-	dev.Close()
-}
-
-// serveMiscounting serves srv on dev like Server.Serve, except that the
-// reply to the second batch frame carries skew more (or fewer) results
-// than the frame had programs.
-func serveMiscounting(srv *Server, dev net.Conn, skew int) {
-	defer dev.Close()
-	enc := gob.NewEncoder(dev)
-	dec := gob.NewDecoder(dev)
+// serveHooked serves srv on rw like Server.Serve, except that hook sees
+// every request with its reply before the reply is sent: it may rewrite
+// the reply, and returning false ends the stream after the reply.
+func serveHooked(srv *Server, rw io.ReadWriteCloser, hook func(req *rpcRequest, rep *rpcReply) bool) {
+	defer rw.Close()
+	enc := gob.NewEncoder(rw)
+	dec := gob.NewDecoder(rw)
 	st := &connState{}
-	frames := 0
 	for {
 		req, err := decodeRequest(dec)
 		if err != nil {
@@ -348,69 +229,96 @@ func serveMiscounting(srv *Server, dev net.Conn, skew int) {
 		}
 		rep := srv.handle(req, st)
 		rep.Tag = req.Tag
-		if req.Batch != nil {
-			if frames++; frames == 2 {
-				res := rep.Batch.Results
-				if skew > 0 {
-					res = append(res, make([]WireResult, skew)...)
-				} else {
-					res = res[:len(res)+skew]
-				}
-				rep.Batch.Results = res
-			}
+		more := hook(&req, &rep)
+		err = enc.Encode(&rep)
+		rep.Result.Release()
+		if err != nil || !more {
+			return
 		}
+	}
+}
+
+// wedge answers the first n requests on rw through srv and then reads
+// every later request without replying, like a broker stuck mid-execution.
+// Each unanswered request is announced on seen (buffered; a full buffer
+// drops the announcement).
+func wedge(srv *Server, rw io.ReadWriteCloser, n int, seen chan<- struct{}) {
+	defer rw.Close()
+	enc := gob.NewEncoder(rw)
+	dec := gob.NewDecoder(rw)
+	st := &connState{}
+	for i := 0; ; i++ {
+		req, err := decodeRequest(dec)
+		if err != nil {
+			return
+		}
+		if i >= n {
+			select {
+			case seen <- struct{}{}:
+			default:
+			}
+			continue
+		}
+		rep := srv.handle(req, st)
+		rep.Tag = req.Tag
 		if enc.Encode(&rep) != nil {
 			return
 		}
 	}
 }
 
-// TestExecBatchRejectsMiscountedReply answers one frame of a batch with
-// more results than the frame carried programs, and then with fewer. The
-// stream must be poisoned with a typed error instead of the extra results
-// overrunning the batch or the short reply shifting results onto the wrong
-// programs, and Resilient must recover by resubmitting only the
-// unacknowledged tail on a fresh connection.
+// miscountFirstBatch is a serveHooked hook whose reply to the first batch
+// frame carries skew more (or fewer) results than the frame had programs.
+func miscountFirstBatch(skew int) func(req *rpcRequest, rep *rpcReply) bool {
+	done := false
+	return func(req *rpcRequest, rep *rpcReply) bool {
+		if req.Batch != nil && !done {
+			done = true
+			res := rep.Batch.Results
+			if skew > 0 {
+				res = append(res, make([]WireResult, skew)...)
+			} else {
+				res = res[:len(res)+skew]
+			}
+			rep.Batch.Results = res
+		}
+		return true
+	}
+}
+
+// TestExecBatchRejectsMiscountedReply answers a batch with more results
+// than it carried programs, and then with fewer. The stream must return no
+// results and be poisoned with a typed error instead of the extra results
+// overrunning the batch or the short reply shifting results onto the
+// wrong programs, and Resilient must recover by resubmitting the whole
+// batch on a fresh stream.
 func TestExecBatchRejectsMiscountedReply(t *testing.T) {
 	short := `r0 = open$tcpc(path="/dev/tcpc0")
 close$tcpc(fd=r0)
 `
 	progs := []string{benignProg, short, short, benignProg, short}
 	wantCalls := []int{3, 2, 2, 3, 2}
-	checkAligned := func(t *testing.T, results []*ExecResult) {
-		t.Helper()
-		for i, res := range results {
-			if res == nil || len(res.Calls) != wantCalls[i] {
-				t.Fatalf("result %d misattributed: %+v", i, res)
-			}
-		}
-	}
-	// Window 1 makes the cut deterministic: frame 2 is sent only after
-	// frame 1 is acknowledged.
 	opts := ResilientOptions{
 		CallTimeout: 5 * time.Second,
 		MaxAttempts: 1,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  5 * time.Millisecond,
-		Window:      1,
-		BatchFrame:  2,
 	}
 	for _, skew := range []int{+3, -1} {
 		t.Run(fmt.Sprintf("stream/skew%+d", skew), func(t *testing.T) {
 			b, _ := newBrokerRig(t, "A1")
 			host, dev := net.Pipe()
-			go serveMiscounting(&Server{X: b}, dev, skew)
-			c := newConn(host, opts)
-			defer c.close()
-			results, err := c.execBatch(ExecBatchRequest{Progs: progs})
+			go serveHooked(&Server{X: b}, dev, miscountFirstBatch(skew))
+			s := NewStream(host, opts.CallTimeout)
+			defer s.Close()
+			results, err := s.execBatch(ExecBatchRequest{Progs: progs})
 			if !errors.Is(err, ErrTransport) {
 				t.Fatalf("miscounted reply: err = %v, want ErrTransport", err)
 			}
-			if len(results) != 2 {
-				t.Fatalf("results = %d, want the 2 of the acknowledged frame", len(results))
+			if results != nil {
+				t.Fatalf("miscounted reply returned %d results, want none", len(results))
 			}
-			checkAligned(t, results)
-			if _, err := c.roundTrip(rpcRequest{Ping: true}); !errors.Is(err, ErrTransport) {
+			if _, err := s.roundTrip(rpcRequest{Ping: true}); !errors.Is(err, ErrTransport) {
 				t.Fatalf("stream not poisoned after a miscounted reply: %v", err)
 			}
 		})
@@ -421,7 +329,7 @@ close$tcpc(fd=r0)
 			r, err := NewResilient(func() (io.ReadWriteCloser, error) {
 				host, dev := net.Pipe()
 				if dials.Add(1) == 1 {
-					go serveMiscounting(srv, dev, skew)
+					go serveHooked(srv, dev, miscountFirstBatch(skew))
 				} else {
 					go srv.Serve(dev)
 				}
@@ -433,20 +341,61 @@ close$tcpc(fd=r0)
 			defer r.Close()
 			results, err := r.ExecBatch(ExecBatchRequest{Progs: progs})
 			if err != nil {
-				t.Fatalf("batch did not survive the reconnect: %v", err)
+				t.Fatalf("batch did not survive the redial: %v", err)
 			}
 			if len(results) != len(progs) {
 				t.Fatalf("results = %d, want %d", len(results), len(progs))
 			}
-			checkAligned(t, results)
-			if n := dials.Load(); n != 2 {
-				t.Fatalf("dials = %d, want 2 (one reconnect)", n)
+			for i, res := range results {
+				if res == nil || len(res.Calls) != wantCalls[i] {
+					t.Fatalf("result %d misattributed: %+v", i, res)
+				}
 			}
-			// Frame 1 was acknowledged on the first stream, so the retry
-			// carried the 3 programs of the tail, not all 5.
+			if n := dials.Load(); n != 2 {
+				t.Fatalf("dials = %d, want 2 (one redial)", n)
+			}
+			// The miscounted reply's accounting went down with its stream;
+			// only the resubmitted batch is counted.
 			if w := r.WireStats(); w.Execs != uint64(len(progs)) {
-				t.Fatalf("wire stats = %+v, want Execs=%d (tail-only retry)", w, len(progs))
+				t.Fatalf("wire stats = %+v, want Execs=%d", w, len(progs))
 			}
 		})
 	}
+}
+
+// BenchmarkStreamRoundTrip is the cost of one lock-step exchange over
+// net.Pipe: a Ping, and a 16-program summary batch against a broker that
+// elides every repeat.
+func BenchmarkStreamRoundTrip(b *testing.B) {
+	br, _ := newBrokerRig(b, "A1")
+	srv := &Server{X: br, NewFilter: func() UplinkFilter { return &stubFilter{} }}
+	host, dev := net.Pipe()
+	go srv.Serve(dev)
+	s := NewStream(host, 10*time.Second)
+	defer s.Close()
+
+	b.Run("ping", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := s.roundTrip(rpcRequest{Ping: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	progs := make([]string, 16)
+	for i := range progs {
+		progs[i] = benignProg
+	}
+	b.Run("batch16", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			results, err := s.execBatch(ExecBatchRequest{Progs: progs, Summary: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, res := range results {
+				res.Release()
+			}
+		}
+	})
 }

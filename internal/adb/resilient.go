@@ -26,12 +26,6 @@ type ResilientOptions struct {
 	// failure up to BackoffMax (defaults 50ms and 2s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Window bounds in-flight requests per connection (default
-	// adb.DefaultWindow).
-	Window int
-	// BatchFrame bounds programs per batched wire frame (default
-	// adb.DefaultBatchFrame).
-	BatchFrame int
 }
 
 func (o *ResilientOptions) defaults() {
@@ -66,9 +60,13 @@ func (o *ResilientOptions) defaults() {
 type Resilient struct {
 	dial func() (io.ReadWriteCloser, error)
 	opts ResilientOptions
+	// dialing is a one-slot semaphore serializing redials. A redial runs
+	// the dial and the handshake holding it, not mu, so the accessors and
+	// Close never wait behind a reconnect to a wedged broker.
+	dialing chan struct{}
 
 	mu         sync.Mutex
-	conn       *conn
+	stream     *Stream
 	target     *dsl.Target
 	info       Info
 	seeds      []string
@@ -95,21 +93,20 @@ var (
 // handshake, returning a reconnecting Executor bound to the device's
 // call-description target. Every reconnect calls dial again for a fresh
 // stream; a dial error counts as a transport failure. Reconnects are
-// serialized: dial runs under the client's lock, so it must not call back
-// into the client.
+// serialized, one dial at a time.
 func NewResilient(dial func() (io.ReadWriteCloser, error), opts ResilientOptions) (*Resilient, error) {
 	opts.defaults()
-	r := &Resilient{dial: dial, opts: opts}
-	c, err := r.connect()
+	r := &Resilient{dial: dial, opts: opts, dialing: make(chan struct{}, 1)}
+	s, err := r.connect()
 	if err != nil {
 		return nil, err
 	}
-	rep, target, err := c.handshake()
+	rep, target, err := s.handshake()
 	if err != nil {
-		c.close()
+		s.Close()
 		return nil, fmt.Errorf("adb: attach: %w", err)
 	}
-	r.conn = c
+	r.stream = s
 	r.target = target
 	r.info = rep.Info
 	r.seeds = rep.Seeds
@@ -126,12 +123,12 @@ func DialResilient(addr string, opts ResilientOptions) (*Resilient, error) {
 }
 
 // connect opens one stream (no handshake).
-func (r *Resilient) connect() (*conn, error) {
+func (r *Resilient) connect() (*Stream, error) {
 	rwc, err := r.dial()
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial: %v", ErrTransport, err)
 	}
-	return newConn(rwc, r.opts), nil
+	return NewStream(rwc, r.opts.CallTimeout), nil
 }
 
 // Seeds returns the probing-pass seed programs (DSL text) delivered by the
@@ -153,10 +150,10 @@ func (r *Resilient) Target() *dsl.Target {
 func (r *Resilient) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.conn != nil {
-		r.wire.Add(r.conn.wireStats())
-		r.conn.close()
-		r.conn = nil
+	if r.stream != nil {
+		r.wire.Add(r.stream.wireStats())
+		r.stream.Close()
+		r.stream = nil
 	}
 	return nil
 }
@@ -167,22 +164,62 @@ func (r *Resilient) WireStats() WireStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w := r.wire
-	if r.conn != nil {
-		w.Add(r.conn.wireStats())
+	if r.stream != nil {
+		w.Add(r.stream.wireStats())
 	}
 	return w
 }
 
-// get returns a live connection, redialing if needed. During cooldown it
+// get returns a live stream, redialing if needed. During cooldown it
 // fails immediately so operations against a dead broker stay cheap.
-func (r *Resilient) get() (*conn, error) {
+func (r *Resilient) get() (*Stream, error) {
+	if s, err := r.live(); s != nil || err != nil {
+		return s, err
+	}
+	r.dialing <- struct{}{}
+	defer func() { <-r.dialing }()
+	// Another caller may have redialed, or failed to, while this one
+	// waited for the slot.
+	if s, err := r.live(); s != nil || err != nil {
+		return s, err
+	}
+	s, err := r.connect()
+	var rep *DescribeReply
+	if err == nil {
+		if rep, _, err = s.handshake(); err != nil {
+			s.Close()
+			err = fmt.Errorf("adb: reattach: %w", err)
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err != nil {
+		r.noteFailureLocked()
+		return nil, err
+	}
+	if rep.Info.TargetHash != r.info.TargetHash {
+		s.Close()
+		r.fatal = fmt.Errorf("adb: reattach: broker target changed (%#x -> %#x)",
+			r.info.TargetHash, rep.Info.TargetHash)
+		return nil, r.fatal
+	}
+	r.stream = s
+	r.info = rep.Info
+	r.failStreak = 0
+	r.downUntil = time.Time{}
+	return s, nil
+}
+
+// live returns the current stream, or the error that rules out a redial
+// now (a fatal rejection or the cooldown); neither means redial.
+func (r *Resilient) live() (*Stream, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.fatal != nil {
 		return nil, r.fatal
 	}
-	if r.conn != nil {
-		return r.conn, nil
+	if r.stream != nil {
+		return r.stream, nil
 	}
 	// Reconnect backoff is wall-clock by nature: it gates transport
 	// redials, never a fuzzing decision, and replay runs in-process
@@ -191,28 +228,7 @@ func (r *Resilient) get() (*conn, error) {
 		return nil, fmt.Errorf("%w: broker down, retry in %v",
 			ErrTransport, r.downUntil.Sub(now).Round(time.Millisecond))
 	}
-	c, err := r.connect()
-	if err != nil {
-		r.noteFailureLocked()
-		return nil, err
-	}
-	rep, _, err := c.handshake()
-	if err != nil {
-		c.close()
-		r.noteFailureLocked()
-		return nil, fmt.Errorf("adb: reattach: %w", err)
-	}
-	if rep.Info.TargetHash != r.info.TargetHash {
-		c.close()
-		r.fatal = fmt.Errorf("adb: reattach: broker target changed (%#x -> %#x)",
-			r.info.TargetHash, rep.Info.TargetHash)
-		return nil, r.fatal
-	}
-	r.conn = c
-	r.info = rep.Info
-	r.failStreak = 0
-	r.downUntil = time.Time{}
-	return c, nil
+	return nil, nil
 }
 
 // noteFailureLocked arms the reconnect cooldown: an exponential envelope
@@ -230,7 +246,7 @@ func (r *Resilient) noteFailureLocked() {
 
 // clockLocked returns the backoff clock, defaulting to the wall clock on
 // first use (the backoff gates transport redials, never a fuzzing
-// decision; see the get() comment).
+// decision; see the live() comment).
 func (r *Resilient) clockLocked() func() time.Time {
 	if r.now == nil {
 		r.now = time.Now //droidvet:nondet wall-clock backoff clock
@@ -264,37 +280,37 @@ func BackoffJitter(rng *rand.Rand, base, max time.Duration, streak int) time.Dur
 	return time.Duration(rng.Int63n(int64(d) + 1))
 }
 
-// drop discards a connection after a transport failure (unless a newer
-// connection already replaced it), folding its uplink accounting into the
-// client's running totals.
-func (r *Resilient) drop(c *conn) {
+// drop discards a stream after a transport failure (unless a newer stream
+// already replaced it), folding its uplink accounting into the client's
+// running totals.
+func (r *Resilient) drop(s *Stream) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.conn == c {
-		r.wire.Add(c.wireStats())
-		c.close()
-		r.conn = nil
+	if r.stream == s {
+		r.wire.Add(s.wireStats())
+		s.Close()
+		r.stream = nil
 	}
 }
 
-// do runs op against a live connection, redialing and retrying on
-// transport failures up to MaxAttempts times. Application-level errors
+// do runs op against a live stream, redialing and retrying on transport
+// failures up to MaxAttempts times. Application-level errors
 // (*RemoteError) return immediately: the stream is healthy and the remote
 // broker rejected the request itself.
-func (r *Resilient) do(op func(c *conn) error) error {
+func (r *Resilient) do(op func(s *Stream) error) error {
 	var err error
 	for attempt := 0; attempt <= r.opts.MaxAttempts; attempt++ {
-		var c *conn
-		if c, err = r.get(); err != nil {
+		var s *Stream
+		if s, err = r.get(); err != nil {
 			if !errors.Is(err, ErrTransport) {
 				return err // fatal (target changed) or handshake rejection
 			}
 			continue
 		}
-		if err = op(c); err == nil || !errors.Is(err, ErrTransport) {
+		if err = op(s); err == nil || !errors.Is(err, ErrTransport) {
 			return err
 		}
-		r.drop(c)
+		r.drop(s)
 	}
 	return err
 }
@@ -302,8 +318,8 @@ func (r *Resilient) do(op func(c *conn) error) error {
 // call runs one request with reconnect-and-retry. The same request crosses
 // the wire on every attempt.
 func (r *Resilient) call(req rpcRequest) (rep rpcReply, err error) {
-	err = r.do(func(c *conn) error {
-		rep, err = c.roundTrip(req)
+	err = r.do(func(s *Stream) error {
+		rep, err = s.roundTrip(req)
 		return err
 	})
 	return rep, err
@@ -333,34 +349,18 @@ func (r *Resilient) ExecProg(p *dsl.Prog) (*ExecResult, error) {
 	return r.Exec(ExecRequest{ProgText: p.String()})
 }
 
-// ExecBatch implements BatchExecutor with tail retry: the programs are
-// serialized once by the caller, and after a mid-batch transport failure
-// only the unacknowledged tail of the window is resubmitted on the fresh
-// connection — acknowledged results are never re-executed. The returned
-// slice aligns index-for-index with req.Progs up to where execution got;
-// nil entries mark broker-rejected programs. Non-nil results are pooled
-// and owned by the caller (Release each when done).
-func (r *Resilient) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
-	out := make([]*ExecResult, 0, len(req.Progs))
-	remaining := req.Progs
-	var err error
-	for attempt := 0; attempt <= r.opts.MaxAttempts && len(remaining) > 0; attempt++ {
-		var c *conn
-		if c, err = r.get(); err != nil {
-			if !errors.Is(err, ErrTransport) {
-				return out, err // fatal (target changed) or handshake rejection
-			}
-			continue
-		}
-		var res []*ExecResult
-		res, err = c.execBatch(ExecBatchRequest{Progs: remaining, Summary: req.Summary})
-		out = append(out, res...)
-		remaining = remaining[len(res):]
-		if err == nil || !errors.Is(err, ErrTransport) {
-			return out, err
-		}
-		r.drop(c)
-	}
+// ExecBatch implements BatchExecutor: the batch, serialized once by the
+// caller, travels as one frame and is retried as one call. After a
+// transport failure the whole batch is resubmitted on the fresh stream:
+// no part of an unanswered frame was ever acknowledged. The returned slice
+// aligns index-for-index with req.Progs (nil on an error); nil entries
+// mark broker-rejected programs. Non-nil results are pooled and owned by
+// the caller (Release each when done).
+func (r *Resilient) ExecBatch(req ExecBatchRequest) (out []*ExecResult, err error) {
+	err = r.do(func(s *Stream) error {
+		out, err = s.execBatch(req)
+		return err
+	})
 	return out, err
 }
 

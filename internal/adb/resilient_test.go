@@ -2,8 +2,10 @@ package adb
 
 import (
 	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -188,6 +190,100 @@ func TestResilientRejectsChangedBroker(t *testing.T) {
 			t.Fatalf("fatal rejection never surfaced: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestResilientCloseUnblocksWedgedCall: while a call is blocked on a
+// broker that stopped answering, WireStats returns at once, and Close
+// fails the blocked call instead of leaving it to the call timeout.
+func TestResilientCloseUnblocksWedgedCall(t *testing.T) {
+	b, _ := newBrokerRig(t, "B")
+	srv := &Server{X: b}
+	var dials atomic.Int64
+	seen := make(chan struct{}, 1)
+	r, err := NewResilient(func() (io.ReadWriteCloser, error) {
+		if dials.Add(1) > 1 {
+			return nil, errors.New("broker gone")
+		}
+		host, dev := net.Pipe()
+		go wedge(srv, dev, 1, seen) // answers the handshake, then nothing
+		return host, nil
+	}, ResilientOptions{
+		CallTimeout: 10 * time.Second,
+		MaxAttempts: 1,
+		BackoffBase: time.Millisecond,
+		BackoffMax:  5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 1)
+	go func() { errs <- r.Ping() }()
+	<-seen // the ping is on the wire
+
+	start := time.Now()
+	r.WireStats()
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Fatalf("WireStats blocked %v behind a wedged call", d)
+	}
+	r.Close()
+	select {
+	case err := <-errs:
+		if !errors.Is(err, ErrTransport) {
+			t.Fatalf("closed call: %v, want ErrTransport", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not unblock the wedged call")
+	}
+}
+
+// TestResilientRedialDoesNotBlockAccessors: a redial whose broker reads
+// the handshake but never answers blocks only the operation that needs
+// the stream; WireStats, Target, Seeds and Close return at once.
+func TestResilientRedialDoesNotBlockAccessors(t *testing.T) {
+	b, _ := newBrokerRig(t, "B")
+	srv := &Server{X: b, Seeds: []string{"r0 = open$hci(path=\"/dev/hci0\")\n"}}
+	var dials atomic.Int64
+	seen := make(chan struct{}, 1)
+	r, err := NewResilient(func() (io.ReadWriteCloser, error) {
+		host, dev := net.Pipe()
+		if dials.Add(1) == 1 {
+			go srv.Serve(dev)
+		} else {
+			go wedge(srv, dev, 0, seen)
+		}
+		return host, nil
+	}, ResilientOptions{CallTimeout: time.Second, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close() // the next operation redials into the wedged broker
+	errs := make(chan error, 1)
+	go func() { errs <- r.Ping() }()
+	<-seen // the redial's handshake is on the wire
+
+	for _, acc := range []struct {
+		name string
+		f    func()
+	}{
+		{"WireStats", func() { r.WireStats() }},
+		{"Target", func() { r.Target() }},
+		{"Seeds", func() { r.Seeds() }},
+		{"Close", func() { r.Close() }},
+	} {
+		start := time.Now()
+		acc.f()
+		if d := time.Since(start); d > 50*time.Millisecond {
+			t.Errorf("%s blocked %v behind the redial", acc.name, d)
+		}
+	}
+	select {
+	case err := <-errs:
+		if !errors.Is(err, ErrTransport) {
+			t.Fatalf("ping through a wedged redial: %v, want ErrTransport", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ping still blocked after the call timeout")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"droidfuzz/internal/dsl"
@@ -19,15 +20,14 @@ import (
 // Executor contract: program execution, reboot, liveness, and the identity
 // handshake that binds a host engine to a remote target.
 //
-// Wire protocol v2 is multiplexed: every request carries a sequence tag the
-// reply echoes, a dedicated writer goroutine owns the encoder and a reader
-// goroutine owns the decoder, and a window bounds how many requests may be
-// in flight at once. Resilient, the host-side Executor, runs every call as
-// a submit-and-wait round trip over that core, so serial callers behave
-// exactly as they did under the v1 lock-step protocol, while windowed
-// callers (batched engines, several workers sharing one client) overlap
-// request framing with device execution. See wire.go for the
-// batched-execution RPC and the delta-coded coverage uplink.
+// Wire protocol v2 is lock-step: the host sends one request, reads its
+// reply, and only then sends the next. Every request carries a sequence
+// tag the reply must echo, so a reply that answers some other request
+// poisons the stream instead of landing on the wrong caller. Stream is the
+// client side, shared by both remote links: Resilient, the host-side
+// Executor, runs every broker call over one, and coord.Client its
+// coordinator calls. See wire.go for the batched-execution RPC, one frame
+// per batch, and the delta-coded coverage uplink.
 
 // ErrTransport marks stream-level failures: a broken pipe, a garbled or
 // truncated frame, a deadline hit. Errors wrapping it mean the connection
@@ -44,8 +44,8 @@ type RemoteError struct{ Msg string }
 func (e *RemoteError) Error() string { return e.Msg }
 
 type rpcRequest struct {
-	// Tag is the request sequence ID; the reply echoes it so a windowed
-	// client matches completions to callers without relying on reply order.
+	// Tag is the request sequence ID; the reply echoes it, and a client
+	// receiving any other tag poisons the stream.
 	Tag      uint64
 	Exec     *ExecRequest
 	Batch    *ExecBatchRequest
@@ -95,222 +95,132 @@ type DescribeReply struct {
 	Seeds []string
 }
 
-// DefaultWindow is the in-flight request bound used when
-// ResilientOptions.Window is not set.
-const DefaultWindow = 8
-
-// pendingCall is one in-flight request: the reader goroutine (or the
-// poisoning path) completes it by filling rep/err and closing done.
-type pendingCall struct {
-	req  rpcRequest
-	rep  rpcReply
-	err  error
-	done chan struct{}
-}
-
-// conn is one host-side transport stream, the core Resilient runs every
-// RPC over. A conn is not resilient: the first stream-level failure
-// poisons it (the gob streams cannot resync) and every later call fails
-// fast with the same ErrTransport-wrapped error. Poisoning closes the
-// stream to unblock the reader and writer goroutines.
-type conn struct {
-	mu      sync.Mutex
+// Stream is the client side of a remote link: one gob request/reply
+// stream, run lock-step. Resilient drives the broker protocol over it and
+// coord.Client the coordinator protocol. A call holds the call lock while
+// its request goes out and its reply comes back, so one request is on the
+// wire at a time and no goroutine is needed. A Stream is not resilient:
+// the first stream-level failure (a send or receive error, a call timeout,
+// a reply the caller cannot attribute) poisons it, since the gob streams
+// cannot resync; the underlying stream is closed and every later call
+// fails fast with the same ErrTransport-wrapped error. Close, the call
+// timeout and the wire accounting never take the call lock, so a call
+// blocked on a wedged peer blocks none of them.
+type Stream struct {
+	mu      sync.Mutex // the call lock
 	rwc     io.ReadWriteCloser
-	enc     *gob.Encoder // owned by writeLoop
-	dec     *gob.Decoder // owned by readLoop
+	enc     *gob.Encoder
+	dec     *gob.Decoder
 	timeout time.Duration
-	frame   int
-	broken  error
-	stats   WireStats
-
-	nextTag uint64
-	pending map[uint64]*pendingCall
-	sendq   chan *pendingCall
-	slots   chan struct{}
-	quit    chan struct{}
+	timer   *time.Timer   // poisons the stream when a call overruns timeout
+	tag     atomic.Uint64 // last request tag
+	broken  atomic.Pointer[error]
+	stats   atomic.Pointer[WireStats]
 }
 
-// newConn wraps an established stream and starts its writer and reader
-// goroutines. The call timeout, in-flight window and batch frame size
-// come from opts and are fixed for the stream's life.
-func newConn(rwc io.ReadWriteCloser, opts ResilientOptions) *conn {
-	window, frame := opts.Window, opts.BatchFrame
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	if frame <= 0 {
-		frame = DefaultBatchFrame
-	}
-	c := &conn{
+// errClosed poisons a stream its owner closed.
+var errClosed = fmt.Errorf("%w: stream closed", ErrTransport)
+
+// NewStream wraps an established stream. A positive timeout bounds each
+// call: when it fires, the stream is poisoned and closed, which fails the
+// blocked call on any io.ReadWriteCloser.
+func NewStream(rwc io.ReadWriteCloser, timeout time.Duration) *Stream {
+	return &Stream{
 		rwc:     rwc,
 		enc:     gob.NewEncoder(rwc),
 		dec:     gob.NewDecoder(rwc),
-		timeout: opts.CallTimeout,
-		frame:   frame,
-		pending: make(map[uint64]*pendingCall, window),
-		sendq:   make(chan *pendingCall, window),
-		slots:   make(chan struct{}, window),
-		quit:    make(chan struct{}),
+		timeout: timeout,
 	}
-	go c.writeLoop()
-	go c.readLoop()
-	return c
+}
+
+// Call sends req and decodes the peer's reply into rep (both pointers to
+// wire frames). It fails fast once the stream is poisoned; a send or
+// receive failure, or the call timeout, poisons it.
+func (s *Stream) Call(req, rep any) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.err(); err != nil {
+		return err
+	}
+	if s.timeout > 0 {
+		if s.timer == nil {
+			s.timer = time.AfterFunc(s.timeout, s.expire) //droidvet:nondet a call timeout only fails a wedged link; it never picks what the engine runs
+		} else {
+			s.timer.Reset(s.timeout)
+		}
+		defer s.timer.Stop()
+	}
+	if err := s.enc.Encode(req); err != nil {
+		return s.fail(fmt.Errorf("%w: send: %v", ErrTransport, err))
+	}
+	if err := s.dec.Decode(rep); err != nil {
+		return s.fail(fmt.Errorf("%w: recv: %v", ErrTransport, err))
+	}
+	return nil
+}
+
+// Close poisons the stream and closes it; a call blocked on the peer fails
+// at once.
+func (s *Stream) Close() error {
+	s.fail(errClosed)
+	return nil
+}
+
+// expire is the call timeout.
+func (s *Stream) expire() {
+	s.fail(fmt.Errorf("%w: call timed out after %v", ErrTransport, s.timeout))
+}
+
+// fail poisons the stream: the first failure sticks and closes the
+// underlying stream, unblocking a call in flight. It returns the sticky
+// error.
+func (s *Stream) fail(err error) error {
+	if s.broken.CompareAndSwap(nil, &err) {
+		s.rwc.Close()
+	}
+	return *s.broken.Load()
+}
+
+// err returns the poisoning error, nil while the stream is healthy.
+func (s *Stream) err() error {
+	if p := s.broken.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // wireStats returns the uplink byte accounting reported by the broker for
 // this stream's batched executions (zero until the first batch reply).
-func (c *conn) wireStats() WireStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+func (s *Stream) wireStats() WireStats {
+	if w := s.stats.Load(); w != nil {
+		return *w
+	}
+	return WireStats{}
 }
 
-// close closes the underlying stream.
-func (c *conn) close() error { return c.rwc.Close() }
-
-// submit registers a request in the in-flight window and hands it to the
-// writer goroutine. It blocks while the window is full and fails fast once
-// the connection is poisoned.
-func (c *conn) submit(req rpcRequest) (*pendingCall, error) {
-	c.mu.Lock()
-	err := c.broken
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-
-	select {
-	case c.slots <- struct{}{}: // acquire a window slot
-	case <-c.quit:
-		c.mu.Lock()
-		err := c.broken
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.broken != nil {
-		err := c.broken
-		c.mu.Unlock()
-		<-c.slots
-		return nil, err
-	}
-	c.nextTag++
-	req.Tag = c.nextTag
-	pc := &pendingCall{req: req, done: make(chan struct{})}
-	c.pending[req.Tag] = pc
-	c.mu.Unlock()
-	// sendq is buffered to the window size and each registered call holds a
-	// slot, so this never blocks even if the writer has exited.
-	c.sendq <- pc
-	return pc, nil
-}
-
-// wait blocks until the call completes or the call timeout fires (which
-// poisons the connection — an abandoned reply would desync the stream).
-func (c *conn) wait(pc *pendingCall) (rpcReply, error) {
-	if d := c.timeout; d > 0 {
-		timer := time.NewTimer(d) //droidvet:nondet a call timeout only fails a wedged link; it never picks what the engine runs
-		defer timer.Stop()
-		select {
-		case <-pc.done:
-		case <-timer.C:
-			c.fail(fmt.Errorf("%w: call timed out after %v", ErrTransport, d))
-			<-pc.done
-		}
-	} else {
-		<-pc.done
-	}
-	if pc.err != nil {
-		return rpcReply{}, pc.err
-	}
-	if pc.rep.Err != "" {
-		return pc.rep, &RemoteError{Msg: pc.rep.Err}
-	}
-	return pc.rep, nil
-}
-
-// writeLoop is the sole user of the encoder: it serializes queued requests
-// onto the wire in submission order.
-func (c *conn) writeLoop() {
-	for {
-		select {
-		case pc := <-c.sendq:
-			c.mu.Lock()
-			broken := c.broken
-			c.mu.Unlock()
-			if broken != nil {
-				continue // fail already completed the call
-			}
-			if err := c.enc.Encode(&pc.req); err != nil {
-				c.fail(fmt.Errorf("%w: send: %v", ErrTransport, err))
-				return
-			}
-		case <-c.quit:
-			return
-		}
-	}
-}
-
-// readLoop is the sole user of the decoder: it matches each reply to its
-// in-flight call by tag and completes it, releasing the window slot.
-func (c *conn) readLoop() {
-	for {
-		var rep rpcReply
-		if err := c.dec.Decode(&rep); err != nil {
-			c.fail(fmt.Errorf("%w: recv: %v", ErrTransport, err))
-			return
-		}
-		c.mu.Lock()
-		pc := c.pending[rep.Tag]
-		delete(c.pending, rep.Tag)
-		c.mu.Unlock()
-		if pc == nil {
-			c.fail(fmt.Errorf("%w: recv: unmatched reply tag %d", ErrTransport, rep.Tag))
-			return
-		}
-		pc.rep = rep
-		close(pc.done)
-		<-c.slots
-	}
-}
-
-// fail poisons the connection: the first failure sticks, the stream is
-// closed to unblock the writer and reader goroutines, and every in-flight
-// call completes with the poisoning error.
-func (c *conn) fail(err error) {
-	c.mu.Lock()
-	if c.broken == nil {
-		c.broken = err
-		close(c.quit)
-		c.rwc.Close()
-	}
-	err = c.broken
-	stale := c.pending
-	c.pending = make(map[uint64]*pendingCall, 1)
-	c.mu.Unlock()
-	// Every stale call gets the same terminal error; delivery order among
-	// already-failed RPCs is unobservable to callers.
-	for _, pc := range stale { //droidvet:nondet order-independent failure fan-out
-		pc.err = err
-		close(pc.done)
-		<-c.slots
-	}
-}
-
-// roundTrip performs one synchronous request over the async core.
-func (c *conn) roundTrip(req rpcRequest) (rpcReply, error) {
-	pc, err := c.submit(req)
-	if err != nil {
+// roundTrip performs one broker request. The reply must echo the request's
+// tag; one that does not cannot be attributed and poisons the stream.
+func (s *Stream) roundTrip(req rpcRequest) (rpcReply, error) {
+	req.Tag = s.tag.Add(1)
+	var rep rpcReply
+	if err := s.Call(&req, &rep); err != nil {
 		return rpcReply{}, err
 	}
-	return c.wait(pc)
+	if rep.Tag != req.Tag {
+		return rpcReply{}, s.fail(fmt.Errorf("%w: recv: reply tag %d for request %d",
+			ErrTransport, rep.Tag, req.Tag))
+	}
+	if rep.Err != "" {
+		return rep, &RemoteError{Msg: rep.Err}
+	}
+	return rep, nil
 }
 
 // handshake performs the Describe round trip, rebuilds the device's
 // call-description target host-side, and verifies that the rebuilt target
 // hashes to the device-reported fingerprint.
-func (c *conn) handshake() (*DescribeReply, *dsl.Target, error) {
-	rep, err := c.roundTrip(rpcRequest{Describe: true})
+func (s *Stream) handshake() (*DescribeReply, *dsl.Target, error) {
+	rep, err := s.roundTrip(rpcRequest{Describe: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -349,9 +259,7 @@ type Server struct {
 // ends. It returns nil on a clean EOF and an ErrTransport-wrapped error on
 // garbage, truncated frames, or a mid-stream hangup; it never panics —
 // protocol-handler panics are converted to per-request error replies.
-// Requests are handled serially in arrival order; windowed clients get
-// pipelining (the next request is already framed while this one executes),
-// not reordering.
+// Requests are handled serially in arrival order.
 func (s *Server) Serve(rw io.ReadWriter) error {
 	enc := gob.NewEncoder(rw)
 	dec := gob.NewDecoder(rw)

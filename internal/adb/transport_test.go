@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,8 +66,8 @@ func truncatedFrame(t *testing.T) []byte {
 		data, _ := io.ReadAll(srv)
 		buf <- data
 	}()
-	c := newConn(cli, ResilientOptions{CallTimeout: 100 * time.Millisecond})
-	c.roundTrip(rpcRequest{Ping: true}) // fails on the recv side; the frame still went out
+	s := NewStream(cli, 100*time.Millisecond)
+	s.roundTrip(rpcRequest{Ping: true}) // fails on the recv side; the frame still went out
 	cli.Close()
 	frame := <-buf
 	if len(frame) < 4 {
@@ -76,14 +77,14 @@ func truncatedFrame(t *testing.T) []byte {
 }
 
 // TestConnTypedErrorAfterStreamBreak: the first stream failure poisons the
-// conn and every subsequent call fails fast with an ErrTransport-wrapped
+// stream and every subsequent call fails fast with an ErrTransport-wrapped
 // error instead of deadlocking on a desynchronized gob stream.
 func TestConnTypedErrorAfterStreamBreak(t *testing.T) {
 	b, _ := newBrokerRig(t, "B")
 	host, devSide := net.Pipe()
 	go (&Server{X: b}).Serve(devSide)
 
-	c := newConn(host, ResilientOptions{})
+	c := NewStream(host, 0)
 	if _, err := c.roundTrip(rpcRequest{Ping: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,81 @@ func TestConnTypedErrorAfterStreamBreak(t *testing.T) {
 	start := time.Now()
 	for i := 0; i < 3; i++ {
 		if _, err := c.roundTrip(rpcRequest{Reboot: true}); !errors.Is(err, ErrTransport) {
-			t.Fatalf("poisoned conn returned %v", err)
+			t.Fatalf("poisoned stream returned %v", err)
 		}
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("fail-fast path took %v", elapsed)
+	}
+}
+
+// TestStreamLockStepAgainstWedgedPeer: against a peer that reads every
+// request and never answers, the call on the wire fails with ErrTransport
+// once the call timeout closes the stream, and a second call queued on the
+// call lock meanwhile fails fast with the same error instead of waiting
+// out a timeout of its own.
+func TestStreamLockStepAgainstWedgedPeer(t *testing.T) {
+	host, dev := net.Pipe()
+	seen := make(chan struct{}, 1)
+	go wedge(nil, dev, 0, seen)
+	const timeout = 300 * time.Millisecond
+	s := NewStream(host, timeout)
+	defer s.Close()
+
+	start := time.Now()
+	errs := make(chan error, 2)
+	call := func() {
+		_, err := s.roundTrip(rpcRequest{Ping: true})
+		errs <- err
+	}
+	go call()
+	<-seen // the first call is on the wire, holding the call lock
+	go call()
+	var first error
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrTransport) {
+				t.Fatalf("call %d against a wedged peer: %v, want ErrTransport", i, err)
+			}
+			if i == 0 {
+				first = err
+			} else if err.Error() != first.Error() {
+				t.Fatalf("queued call failed with %q, want the sticky %q", err, first)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("call still blocked after the call timeout")
+		}
+	}
+	if !strings.Contains(first.Error(), "timed out") {
+		t.Fatalf("first failure = %v, want the call timeout", first)
+	}
+	elapsed := time.Since(start)
+	if elapsed < timeout {
+		t.Fatalf("calls failed after %v, before the %v timeout", elapsed, timeout)
+	}
+	if elapsed > 2*timeout {
+		t.Fatalf("calls took %v: the queued call waited out a second timeout", elapsed)
+	}
+}
+
+// TestStreamRejectsMismatchedTag: a reply carrying a tag other than its
+// request's cannot be attributed, so it poisons the stream.
+func TestStreamRejectsMismatchedTag(t *testing.T) {
+	b, _ := newBrokerRig(t, "B")
+	host, dev := net.Pipe()
+	go serveHooked(&Server{X: b}, dev, func(_ *rpcRequest, rep *rpcReply) bool {
+		rep.Tag++
+		return true
+	})
+	s := NewStream(host, 5*time.Second)
+	defer s.Close()
+	_, err := s.roundTrip(rpcRequest{Ping: true})
+	if !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), "tag") {
+		t.Fatalf("mismatched tag: err = %v, want an ErrTransport tag error", err)
+	}
+	if _, err2 := s.roundTrip(rpcRequest{Ping: true}); err2 == nil || err2.Error() != err.Error() {
+		t.Fatalf("stream not poisoned by a mismatched tag: %v", err2)
 	}
 }
 

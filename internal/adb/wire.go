@@ -6,18 +6,14 @@ import (
 	"droidfuzz/internal/kcov"
 )
 
-// Wire protocol v2 batched execution: N programs per request frame, N
-// results per reply, with PC traces delta-coded (kcov varint codec) and an
-// optional summary mode where the broker elides the traces of executions
-// that produced no new signal against its per-connection view of the
-// host's feedback pipeline. Crashing executions and executions with fresh
-// signal always ship in full; the host's accumulator sees the same novelty
-// verdicts it would have computed locally, at a fraction of the bytes.
-
-// DefaultBatchFrame is how many programs ExecBatch packs per wire frame
-// when ResilientOptions.BatchFrame is not set. Frames pipeline through the in-flight
-// window, so a large batch becomes several frames in flight at once.
-const DefaultBatchFrame = 16
+// Wire protocol v2 batched execution: a batch of N programs travels as one
+// request frame and its N results as one reply frame, with PC traces
+// delta-coded (kcov varint codec) and an optional summary mode where the
+// broker elides the traces of executions that produced no new signal
+// against its per-connection view of the host's feedback pipeline.
+// Crashing executions and executions with fresh signal always ship in
+// full; the host's accumulator sees the same novelty verdicts it would
+// have computed locally, at a fraction of the bytes.
 
 // BatchExecutor is the optional batched-execution extension of Executor:
 // run several programs back to back and return one result per program (a
@@ -203,103 +199,43 @@ func (w *WireResult) decode() (*ExecResult, error) {
 	return r, nil
 }
 
-// noteWire records the cumulative uplink accounting the broker reported
-// for this connection.
-func (c *conn) noteWire(rep *ExecBatchReply) {
-	c.mu.Lock()
-	c.stats = WireStats{
-		Execs:        rep.Execs,
-		Elided:       rep.Elided,
-		CovRawBytes:  rep.CovRawBytes,
-		CovWireBytes: rep.CovWireBytes,
-	}
-	c.mu.Unlock()
-}
-
-// execBatch runs a batch over the stream: the batch is split into frames
-// of at most the stream's frame size, the frames are submitted through the
-// in-flight window (so several are on the wire or executing while earlier
-// replies are still being decoded), and results are collected in
-// submission order. On a transport failure it returns the results of every
-// fully acknowledged frame along with the error — the unacknowledged tail
-// is the caller's to retry (Resilient does exactly that). A reply whose
-// result count differs from its frame's program count poisons the stream:
-// its results cannot be attributed to programs. A nil entry marks a
-// program the broker rejected; the slice always aligns index-for-index
-// with the acknowledged prefix of req.Progs. Non-nil results are pooled
-// and owned by the caller (Release each).
-func (c *conn) execBatch(req ExecBatchRequest) ([]*ExecResult, error) {
+// execBatch runs a batch as one frame: one request carries every program
+// and one reply every result. A nil entry marks a program the broker
+// rejected (or whose trace arrived corrupt); the slice aligns
+// index-for-index with req.Progs. On an error it returns no results: a
+// reply whose result count differs from the program count cannot be
+// attributed to programs, so it poisons the stream. Non-nil results are
+// pooled and owned by the caller (Release each).
+func (s *Stream) execBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 	n := len(req.Progs)
 	if n == 0 {
 		return nil, nil
 	}
-	nFrames := (n + c.frame - 1) / c.frame
-	frames := make(chan frameCall, nFrames)
-	go c.submitFrames(req, frames)
-	out := make([]*ExecResult, 0, n)
-	for s := range frames {
-		if s.err != nil {
-			return out, s.err
-		}
-		rep, err := c.wait(s.pc)
-		if err != nil {
-			// The channel is buffered to nFrames, so the submitter never
-			// blocks; abandoning it here leaks nothing.
-			return out, err
-		}
-		if rep.Batch == nil {
-			return out, &RemoteError{Msg: "adb: empty batch reply"}
-		}
-		if got := len(rep.Batch.Results); got != s.size {
-			err := fmt.Errorf("%w: batch reply carries %d results for %d programs",
-				ErrTransport, got, s.size)
-			c.fail(err)
-			return out, err
-		}
-		for i := range rep.Batch.Results {
-			w := &rep.Batch.Results[i]
-			if w.Err != "" {
-				out = append(out, nil)
-				continue
-			}
-			res, err := w.decode()
-			if err != nil {
-				out = append(out, nil) // corrupt trace: drop this program only
-				continue
-			}
-			out = append(out, res)
-		}
-		c.noteWire(rep.Batch)
+	rep, err := s.roundTrip(rpcRequest{Batch: &req})
+	if err != nil {
+		return nil, err
 	}
+	b := rep.Batch
+	if b == nil {
+		return nil, &RemoteError{Msg: "adb: empty batch reply"}
+	}
+	if got := len(b.Results); got != n {
+		return nil, s.fail(fmt.Errorf("%w: batch reply carries %d results for %d programs",
+			ErrTransport, got, n))
+	}
+	out := make([]*ExecResult, n)
+	for i := range b.Results {
+		if w := &b.Results[i]; w.Err == "" {
+			out[i], _ = w.decode() // a corrupt trace drops this program only
+		}
+	}
+	s.stats.Store(&WireStats{
+		Execs:        b.Execs,
+		Elided:       b.Elided,
+		CovRawBytes:  b.CovRawBytes,
+		CovWireBytes: b.CovWireBytes,
+	})
 	return out, nil
-}
-
-// frameCall is one submitted batch frame: its call and program count, or
-// the error that stopped submission.
-type frameCall struct {
-	pc   *pendingCall
-	size int
-	err  error
-}
-
-// submitFrames submits req through the window in frames of at most the
-// stream's frame size, in order, stopping at the first submission error.
-// frames must be buffered for every frame, so sends never block; it is
-// closed on return.
-func (c *conn) submitFrames(req ExecBatchRequest, frames chan<- frameCall) {
-	defer close(frames)
-	n := len(req.Progs)
-	for start := 0; start < n; start += c.frame {
-		end := min(start+c.frame, n)
-		pc, err := c.submit(rpcRequest{Batch: &ExecBatchRequest{
-			Progs:   req.Progs[start:end],
-			Summary: req.Summary,
-		}})
-		frames <- frameCall{pc, end - start, err}
-		if err != nil {
-			return
-		}
-	}
 }
 
 // execBatch is the server side of ExecBatch: run every program in the

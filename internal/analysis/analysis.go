@@ -135,7 +135,7 @@ func DefaultConfig() Config {
 			},
 		},
 		LockTypes: []string{
-			"droidfuzz/internal/adb.conn",
+			"droidfuzz/internal/adb.Stream",
 			"droidfuzz/internal/adb.Resilient",
 			"droidfuzz/internal/feedback.SpecTable",
 			"droidfuzz/internal/daemon.Daemon",
@@ -250,9 +250,9 @@ func DefaultConfig() Config {
 			"droidfuzz/internal/coord",
 		},
 		GoShutdownChans: []string{
-			// quit: the transport writeLoop's poison channel (conn.fail
-			// closes it). Done: context.Context.Done() for any future
-			// ctx-threaded worker.
+			// quit: the coordinated Host's stop channel, which ends its
+			// heartbeat goroutine. Done: context.Context.Done() for any
+			// future ctx-threaded worker.
 			"quit",
 			"Done",
 		},

@@ -10,7 +10,7 @@ import (
 )
 
 // checkLockOrder records the mutex acquisition order across the configured
-// lock-carrying types (adb.conn, adb.Resilient, feedback.SpecTable,
+// lock-carrying types (adb.Stream, adb.Resilient, feedback.SpecTable,
 // daemon.Daemon, relation.Graph) and flags
 //
 //   - inversions: some path acquires A's mutex while holding B's and

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -56,18 +55,16 @@ func (o *ClientOptions) defaults() {
 	}
 }
 
-// Client is a host's reconnecting connection to the coordinator. Calls are
-// lock-step — one in flight at a time, serialized by the mutex — which is
-// all a per-epoch control channel needs.
+// Client is a host's reconnecting connection to the coordinator, run over
+// the same lock-step adb.Stream as the broker link. One logical call is in
+// flight at a time, serialized by the mutex across all its retries: the
+// coordinator caches only the reply to a host's last Seq.
 type Client struct {
 	addr string
 	opts ClientOptions
 
 	mu         sync.Mutex
-	stream     io.ReadWriteCloser
-	enc        *gob.Encoder
-	dec        *gob.Decoder
-	downUntil  time.Time
+	stream     *adb.Stream
 	failStreak int
 	rng        *rand.Rand
 	sleep      func(time.Duration) // test seam; nil means time.Sleep
@@ -105,9 +102,7 @@ func (c *Client) connectLocked() error {
 	if err != nil {
 		return fmt.Errorf("%w: coord dial %s: %v", adb.ErrTransport, c.addr, err)
 	}
-	c.stream = rwc
-	c.enc = gob.NewEncoder(rwc)
-	c.dec = gob.NewDecoder(rwc)
+	c.stream = adb.NewStream(rwc, c.opts.CallTimeout)
 	return nil
 }
 
@@ -123,7 +118,6 @@ func (c *Client) dropLocked() {
 	if c.stream != nil {
 		c.stream.Close()
 		c.stream = nil
-		c.enc, c.dec = nil, nil
 	}
 }
 
@@ -205,19 +199,12 @@ func (c *Client) sleepLocked(d time.Duration) {
 	time.Sleep(d)
 }
 
-// roundTripLocked encodes one request and decodes its reply, bounding the
-// exchange with the call timeout when the stream supports deadlines.
+// roundTripLocked performs one exchange on the current stream, bounded by
+// the call timeout.
 func (c *Client) roundTripLocked(req adb.CoordRequest) (adb.CoordReply, error) {
-	if nc, ok := c.stream.(net.Conn); ok && c.opts.CallTimeout > 0 {
-		nc.SetDeadline(time.Now().Add(c.opts.CallTimeout)) //droidvet:nondet wall-clock io deadline
-		defer nc.SetDeadline(time.Time{})
-	}
-	if err := c.enc.Encode(&req); err != nil {
-		return adb.CoordReply{}, fmt.Errorf("%w: coord send: %v", adb.ErrTransport, err)
-	}
 	var rep adb.CoordReply
-	if err := c.dec.Decode(&rep); err != nil {
-		return adb.CoordReply{}, fmt.Errorf("%w: coord recv: %v", adb.ErrTransport, err)
+	if err := c.stream.Call(&req, &rep); err != nil {
+		return adb.CoordReply{}, err
 	}
 	if rep.Err != "" {
 		return adb.CoordReply{}, &adb.RemoteError{Msg: rep.Err}

@@ -87,6 +87,48 @@ func TestClientSurfacesRemoteErrorWithoutRetry(t *testing.T) {
 	}
 }
 
+// plainStream hides every method of its stream but Read, Write and Close,
+// so the client cannot reach a deadline setter through it.
+type plainStream struct{ io.ReadWriteCloser }
+
+// TestClientCallTimeoutOnAnyStream: the call timeout bounds a call on any
+// io.ReadWriteCloser, not only on a net.Conn. Against a coordinator that
+// reads every request and never answers, Register fails with ErrTransport
+// after one timeout per attempt.
+func TestClientCallTimeoutOnAnyStream(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	opts := ClientOptions{
+		CallTimeout: timeout,
+		MaxAttempts: 1,
+		Dialer: func() (io.ReadWriteCloser, error) {
+			hostEnd, coordEnd := net.Pipe()
+			go io.Copy(io.Discard, coordEnd)
+			return plainStream{hostEnd}, nil
+		},
+	}
+	cl, err := DialClient("silent", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.sleep = func(time.Duration) {}
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Register("silent-host")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, adb.ErrTransport) {
+			t.Fatalf("register against a silent coordinator: %v, want ErrTransport", err)
+		}
+		cl.Close()
+	case <-time.After(time.Duration(opts.MaxAttempts+1)*timeout + time.Second):
+		t.Fatalf("register still blocked after %v", time.Since(start))
+	}
+}
+
 // TestServerRejectsEmptyAndPanicFrames: protocol garbage gets an error
 // reply, not a dead coordinator.
 func TestServerRejectsGarbage(t *testing.T) {

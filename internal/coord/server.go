@@ -11,10 +11,10 @@ import (
 )
 
 // The coordinator wire layer mirrors the adb transport's device protocol:
-// gob frames over any byte stream, lock-step request/reply. Coordinator
-// RPCs happen per epoch (hundreds of milliseconds to seconds apart), not
-// per execution, so there is no windowed pipeline here — one in-flight
-// request per connection keeps both ends trivially in sync.
+// gob frames over any byte stream, lock-step request/reply; the client
+// side runs over the same adb.Stream. Coordinator RPCs happen per epoch
+// (hundreds of milliseconds to seconds apart), not per execution, and one
+// in-flight request per connection keeps both ends trivially in sync.
 
 // Server serves a Coordinator over gob streams.
 type Server struct {

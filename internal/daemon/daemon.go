@@ -38,8 +38,8 @@ type Daemon struct {
 	maxWorkers int
 	// pipelineDepth and batchSize shape every engine's schedule
 	// (engine.RunSchedule): the generation look-ahead and the programs per
-	// executor call — over a remote link, batches are the windowed
-	// wire-frame + summary-uplink mode. Both zero is the serial schedule.
+	// executor call — over a remote link, each batch is one wire frame
+	// with the summary uplink. Both zero is the serial schedule.
 	pipelineDepth int
 	batchSize     int
 	// fleet is the multi-host status block a coordinator host publishes;

@@ -126,9 +126,9 @@ func TestAttachExecutorRejectsUnboundAndDuplicate(t *testing.T) {
 	}
 }
 
-// TestBatchedRemoteCampaignSavesUplinkBytes runs a windowed, batched
-// remote campaign end to end: a broker served with a per-connection uplink
-// filter, a resilient client with a bounded in-flight window, and a daemon
+// TestBatchedRemoteCampaignSavesUplinkBytes runs a batched remote campaign
+// end to end: a broker served with a per-connection uplink filter, a
+// resilient client that ships each batch as one frame, and a daemon
 // driving the engine with batched execution. Most executions past warmup
 // carry no new signal, so the summary uplink must elide traces and the wire
 // accounting must show real byte savings over the flat encoding. The
@@ -165,8 +165,6 @@ func runBatchedRemoteCampaign(t *testing.T, depth, batch int) {
 		DialTimeout: time.Second,
 		CallTimeout: 5 * time.Second,
 		MaxAttempts: 1,
-		Window:      4,
-		BatchFrame:  8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -487,7 +487,7 @@ const DefaultBatchSize = 16
 //
 // Each executor call carries batch programs: a batch of 1 goes through
 // ExecProg, a larger one through the BatchExecutor extension in summary
-// mode — over a remote link one windowed wire frame per batch and an
+// mode — over a remote link one wire frame per batch and an
 // interesting-only coverage uplink. Executors without the extension run
 // one program per call under the same look-ahead. Results are fed back
 // per program in order; a mid-batch crash reboots the device while the

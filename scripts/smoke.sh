@@ -8,7 +8,7 @@
 # per-layer unit test names the culprit.
 #
 #   remote  droidbrokerd serves A1 and B over TCP; droidfleet -remote runs
-#           a per-program campaign, then a pipelined, windowed-batch one
+#           a per-program campaign, then a pipelined, batched one
 #           (wire protocol v2). Engines reach the budget with no exec
 #           errors, every engine ships batched execs and saves uplink
 #           bytes, the sanitizer stays silent on the device side, and the
@@ -187,7 +187,7 @@ smoke_remote() {
         check remote "$build" 600 "$WORK/remote_$build.json"
     fi
     "$fleet" -remote "$addr1,$addr2" -iters 600 -rounds 2 \
-        -pipeline 4 -batch 32 -window 8 \
+        -pipeline 4 -batch 32 \
         -status "$WORK/batch_$build.json" | tee "$WORK/batch_$build.log"
     check remote "$build-batched" 600 "$WORK/batch_$build.json" "$WORK/batch_$build.log"
 
