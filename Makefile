@@ -8,10 +8,11 @@ build:
 	$(GO) build ./...
 
 # vet runs the toolchain's vet followed by droidvet, the project-specific
-# analyzer (determinism, pool lifecycles, lock order, wire-frame layout,
-# snapshot immutability, atomic discipline, checkpoint completeness, and
-# goroutine lifetimes). All eight passes share one module load and one
-# declaration index; droidvet -v prints per-pass wall time.
+# analyzer (determinism, pool lifecycles, lock order, snapshot
+# immutability, atomic discipline, checkpoint completeness, and goroutine
+# lifetimes). All seven passes share one module load and one declaration
+# index; droidvet -v prints per-pass wall time. Wire frame layouts are
+# pinned by golden bytes in internal/adb/frame_test.go instead.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/droidvet -v ./...
@@ -22,7 +23,7 @@ test:
 # sanitize runs the full suite with the droidfuzz_sanitize build tag:
 # checked pools (double-Put / use-after-put panic at the faulting line),
 # relation-graph invariant checks after every Learn/Decay, and wire-frame
-# round-trip verification in the transport server.
+# round-trip verification of every frame a connection writes.
 sanitize:
 	$(GO) test -tags droidfuzz_sanitize ./...
 

@@ -1,13 +1,12 @@
 // Command droidvet runs DroidFuzz's project-specific static checks: the
-// determinism, poolcheck, lockorder, taggedfield, snapshot, atomics,
-// checkpoint, and golifetime passes over the whole module. It exits nonzero
+// determinism, poolcheck, lockorder, snapshot, atomics, checkpoint, and
+// golifetime passes over the whole module. It exits nonzero
 // when any un-waived finding survives, which makes it a CI gate
 // (`make vet` runs it after `go vet`).
 //
 // Usage:
 //
 //	droidvet [-C dir] [-json] [-v] [package-pattern]
-//	droidvet -update-wire
 //
 // The only accepted package pattern today is "./..." (the passes are
 // whole-program by construction — closures and call graphs need every
@@ -19,11 +18,6 @@
 // workflow commands on stderr so findings render as inline annotations.
 //
 // -v reports per-pass wall-clock timings on stderr after the run.
-//
-// -update-wire regenerates the wire-frame layout manifest
-// (internal/adb/wire.lock) from the current tree instead of checking it.
-// Run it, and commit the result, whenever a wire-protocol change is
-// deliberate.
 package main
 
 import (
@@ -39,7 +33,6 @@ import (
 
 func main() {
 	chdir := flag.String("C", "", "run as if started in `dir`")
-	updateWire := flag.Bool("update-wire", false, "regenerate the wire-frame manifest instead of checking it")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	verbose := flag.Bool("v", false, "report per-pass timings on stderr")
 	flag.Parse()
@@ -67,17 +60,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := analysis.DefaultConfig()
-
-	if *updateWire {
-		manifest := analysis.WireManifest(prog, cfg)
-		path := filepath.Join(root, filepath.FromSlash(cfg.WireManifest))
-		if err := os.WriteFile(path, []byte(manifest), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "droidvet: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("droidvet: wrote %s\n", path)
-		return
-	}
 
 	diags, timings := analysis.AnalyzeTimed(prog, cfg)
 	if *verbose {

@@ -279,12 +279,34 @@ func TestTransportTCP(t *testing.T) {
 	}
 }
 
+// TestExecsCountAdvances: every execution path counts, as Execs and as
+// Info.Execs — text, a parsed program in-process, and a remote batch.
 func TestExecsCountAdvances(t *testing.T) {
-	b, _ := newBrokerRig(t, "B")
-	before := b.Execs()
-	b.Exec(ExecRequest{ProgText: "r0 = open$hci(path=\"/dev/hci0\")\n"})
-	if b.Execs() != before+1 {
-		t.Fatal("exec counter wrong")
+	const prog = "r0 = open$hci(path=\"/dev/hci0\")\n"
+	b, target := newBrokerRig(t, "B")
+	want := b.Execs()
+	check := func(path string, n uint64) {
+		t.Helper()
+		want += n
+		if got := b.Execs(); got != want {
+			t.Fatalf("after %s: Execs = %d, want %d", path, got, want)
+		}
+		if info, err := b.Info(); err != nil || info.Execs != want {
+			t.Fatalf("after %s: Info.Execs = %d (err %v), want %d", path, info.Execs, err, want)
+		}
+	}
+	b.Exec(ExecRequest{ProgText: prog})
+	check("Exec", 1)
+	b.ExecProg(parseAll(t, target, prog)[0])
+	check("ExecProg", 1)
+
+	r := dialPipe(t, &Server{X: b}, ResilientOptions{})
+	if _, err := r.ExecBatch(ExecBatchRequest{Progs: parseAll(t, r.Target(), prog, prog, prog)}); err != nil {
+		t.Fatal(err)
+	}
+	check("a remote ExecBatch", 3)
+	if info, err := r.Info(); err != nil || info.Execs != want {
+		t.Fatalf("remote Info.Execs = %d (err %v), want %d", info.Execs, err, want)
 	}
 }
 

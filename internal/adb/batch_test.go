@@ -1,7 +1,6 @@
 package adb
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"droidfuzz/internal/dsl"
 )
 
 // stubFilter is an UplinkFilter that calls everything after the first
@@ -25,6 +26,34 @@ ioctl$TCPC_SET_MODE(fd=r0, req=0xa102, mode=0x3)
 close$tcpc(fd=r0)
 `
 
+// parseAll parses program texts against target.
+func parseAll(tb testing.TB, target *dsl.Target, texts ...string) []*dsl.Prog {
+	tb.Helper()
+	progs := make([]*dsl.Prog, len(texts))
+	for i, text := range texts {
+		p, err := dsl.ParseProg(target, text)
+		if err != nil {
+			tb.Fatalf("program %d: %v", i, err)
+		}
+		progs[i] = p
+	}
+	return progs
+}
+
+// encodeAll parses program texts against target and exec-encodes them.
+func encodeAll(tb testing.TB, target *dsl.Target, texts ...string) [][]byte {
+	tb.Helper()
+	out := make([][]byte, len(texts))
+	for i, p := range parseAll(tb, target, texts...) {
+		b, err := dsl.AppendExec(nil, target, p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
 // TestExecBatchSummaryElidesRepeats runs the same program four times in one
 // summary-mode batch: the first execution (novel by the filter's account)
 // must ship its traces in full, the repeats must arrive elided, and the
@@ -35,7 +64,7 @@ func TestExecBatchSummaryElidesRepeats(t *testing.T) {
 	srv.NewFilter = func() UplinkFilter { return &stubFilter{} }
 	r := dialPipe(t, srv, ResilientOptions{CallTimeout: 5 * time.Second})
 
-	progs := []string{benignProg, benignProg, benignProg, benignProg}
+	progs := parseAll(t, r.Target(), benignProg, benignProg, benignProg, benignProg)
 	results, err := r.ExecBatch(ExecBatchRequest{Progs: progs, Summary: true})
 	if err != nil {
 		t.Fatal(err)
@@ -84,34 +113,30 @@ func TestExecBatchSummaryElidesRepeats(t *testing.T) {
 	}
 }
 
-// TestExecBatchFramingAndRejects plants an unparseable program in the
-// middle of a batch: the whole batch must cross the wire as one frame, and
-// the results must align index-for-index, with exactly the bad program
-// marked nil.
+// TestExecBatchFramingAndRejects plants a program that does not decode in
+// the middle of a hand-built batch frame: the whole batch must cross the
+// wire as one frame, and the results must align index-for-index, with
+// exactly the bad program marked nil.
 func TestExecBatchFramingAndRejects(t *testing.T) {
-	b, _ := newBrokerRig(t, "A1")
+	b, target := newBrokerRig(t, "A1")
 	srv := &Server{X: b}
 	var frames atomic.Int64
-	r, err := NewResilient(func() (io.ReadWriteCloser, error) {
-		host, dev := net.Pipe()
-		go serveHooked(srv, dev, func(req *rpcRequest, _ *rpcReply) bool {
-			if req.Batch != nil {
-				frames.Add(1)
-			}
-			return true
-		})
-		return host, nil
-	}, ResilientOptions{CallTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	host, dev := net.Pipe()
+	go serveHooked(srv, dev, func(req *rpcRequest, _ *rpcReply) bool {
+		if req.Kind == reqBatch {
+			frames.Add(1)
+		}
+		return true
+	})
+	s := NewStream(host, 5*time.Second)
+	defer s.Close()
 
 	short := `r0 = open$tcpc(path="/dev/tcpc0")
 close$tcpc(fd=r0)
 `
-	progs := []string{benignProg, short, "this is not a program", benignProg, short}
-	results, err := r.ExecBatch(ExecBatchRequest{Progs: progs})
+	progs := encodeAll(t, target, benignProg, short, benignProg, benignProg, short)
+	progs[2] = progs[2][:len(progs[2])-1] // truncated: the last argument is cut
+	results, err := s.execBatch(progs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +162,9 @@ close$tcpc(fd=r0)
 				i, len(res.Calls), wantCalls[i])
 		}
 	}
+	if _, err := s.roundTrip(rpcRequest{Kind: reqPing}); err != nil {
+		t.Fatalf("stream unusable after a rejected program: %v", err)
+	}
 }
 
 // TestResilientBatchTailRetry severs the broker stream right after it
@@ -152,7 +180,7 @@ func TestResilientBatchTailRetry(t *testing.T) {
 		host, dev := net.Pipe()
 		first := dials.Add(1) == 1
 		go serveHooked(srv, dev, func(req *rpcRequest, _ *rpcReply) bool {
-			if req.Batch == nil {
+			if req.Kind != reqBatch {
 				return true
 			}
 			// Count the frame before replying: once the client has the
@@ -172,7 +200,7 @@ func TestResilientBatchTailRetry(t *testing.T) {
 	}
 	defer r.Close()
 
-	progs := []string{benignProg, benignProg, benignProg, benignProg, benignProg}
+	progs := parseAll(t, r.Target(), benignProg, benignProg, benignProg, benignProg, benignProg)
 	for batch := 0; batch < 2; batch++ {
 		results, err := r.ExecBatch(ExecBatchRequest{Progs: progs})
 		if err != nil {
@@ -199,17 +227,19 @@ func TestResilientBatchTailRetry(t *testing.T) {
 }
 
 // TestBrokerExecBatchInProcess exercises the in-process BatchExecutor
-// implementation the engine falls back to without a transport.
+// implementation the engine falls back to without a transport: an
+// injected fault fails its program alone.
 func TestBrokerExecBatchInProcess(t *testing.T) {
-	b, _ := newBrokerRig(t, "A1")
-	results, err := b.ExecBatch(ExecBatchRequest{Progs: []string{benignProg, "garbage", benignProg}})
+	b, target := newBrokerRig(t, "A1")
+	b.FailNext(1)
+	results, err := b.ExecBatch(ExecBatchRequest{Progs: parseAll(t, target, benignProg, benignProg, benignProg)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 || results[0] == nil || results[1] != nil || results[2] == nil {
+	if len(results) != 3 || results[0] != nil || results[1] == nil || results[2] == nil {
 		t.Fatalf("in-process batch misaligned: %v", results)
 	}
-	if len(results[0].KernelCov) == 0 {
+	if len(results[1].KernelCov) == 0 {
 		t.Fatal("in-process batch lost coverage")
 	}
 }
@@ -219,20 +249,16 @@ func TestBrokerExecBatchInProcess(t *testing.T) {
 // the reply, and returning false ends the stream after the reply.
 func serveHooked(srv *Server, rw io.ReadWriteCloser, hook func(req *rpcRequest, rep *rpcReply) bool) {
 	defer rw.Close()
-	enc := gob.NewEncoder(rw)
-	dec := gob.NewDecoder(rw)
-	st := &connState{}
+	c := NewFrameConn(rw)
+	st := srv.newConnState()
 	for {
-		req, err := decodeRequest(dec)
-		if err != nil {
+		var req rpcRequest
+		if c.Read(&req) != nil {
 			return
 		}
-		rep := srv.handle(req, st)
-		rep.Tag = req.Tag
+		rep := srv.handle(&req, st)
 		more := hook(&req, &rep)
-		err = enc.Encode(&rep)
-		rep.Result.Release()
-		if err != nil || !more {
+		if srv.reply(c, &rep) != nil || !more {
 			return
 		}
 	}
@@ -244,12 +270,11 @@ func serveHooked(srv *Server, rw io.ReadWriteCloser, hook func(req *rpcRequest, 
 // drops the announcement).
 func wedge(srv *Server, rw io.ReadWriteCloser, n int, seen chan<- struct{}) {
 	defer rw.Close()
-	enc := gob.NewEncoder(rw)
-	dec := gob.NewDecoder(rw)
+	c := NewFrameConn(rw)
 	st := &connState{}
 	for i := 0; ; i++ {
-		req, err := decodeRequest(dec)
-		if err != nil {
+		var req rpcRequest
+		if c.Read(&req) != nil {
 			return
 		}
 		if i >= n {
@@ -259,9 +284,8 @@ func wedge(srv *Server, rw io.ReadWriteCloser, n int, seen chan<- struct{}) {
 			}
 			continue
 		}
-		rep := srv.handle(req, st)
-		rep.Tag = req.Tag
-		if enc.Encode(&rep) != nil {
+		rep := srv.handle(&req, st)
+		if srv.reply(c, &rep) != nil {
 			return
 		}
 	}
@@ -272,15 +296,19 @@ func wedge(srv *Server, rw io.ReadWriteCloser, n int, seen chan<- struct{}) {
 func miscountFirstBatch(skew int) func(req *rpcRequest, rep *rpcReply) bool {
 	done := false
 	return func(req *rpcRequest, rep *rpcReply) bool {
-		if req.Batch != nil && !done {
+		if req.Kind == reqBatch && !done {
 			done = true
-			res := rep.Batch.Results
+			b := rep.Batch
 			if skew > 0 {
-				res = append(res, make([]WireResult, skew)...)
+				b.Results = append(b.Results, make([]*ExecResult, skew)...)
+				b.Elided = append(b.Elided, make([]bool, skew)...)
 			} else {
-				res = res[:len(res)+skew]
+				for _, res := range b.Results[len(b.Results)+skew:] {
+					res.Release()
+				}
+				b.Results = b.Results[:len(b.Results)+skew]
+				b.Elided = b.Elided[:len(b.Elided)+skew]
 			}
-			rep.Batch.Results = res
 		}
 		return true
 	}
@@ -296,7 +324,7 @@ func TestExecBatchRejectsMiscountedReply(t *testing.T) {
 	short := `r0 = open$tcpc(path="/dev/tcpc0")
 close$tcpc(fd=r0)
 `
-	progs := []string{benignProg, short, short, benignProg, short}
+	texts := []string{benignProg, short, short, benignProg, short}
 	wantCalls := []int{3, 2, 2, 3, 2}
 	opts := ResilientOptions{
 		CallTimeout: 5 * time.Second,
@@ -306,19 +334,19 @@ close$tcpc(fd=r0)
 	}
 	for _, skew := range []int{+3, -1} {
 		t.Run(fmt.Sprintf("stream/skew%+d", skew), func(t *testing.T) {
-			b, _ := newBrokerRig(t, "A1")
+			b, target := newBrokerRig(t, "A1")
 			host, dev := net.Pipe()
 			go serveHooked(&Server{X: b}, dev, miscountFirstBatch(skew))
 			s := NewStream(host, opts.CallTimeout)
 			defer s.Close()
-			results, err := s.execBatch(ExecBatchRequest{Progs: progs})
+			results, err := s.execBatch(encodeAll(t, target, texts...), false)
 			if !errors.Is(err, ErrTransport) {
 				t.Fatalf("miscounted reply: err = %v, want ErrTransport", err)
 			}
 			if results != nil {
 				t.Fatalf("miscounted reply returned %d results, want none", len(results))
 			}
-			if _, err := s.roundTrip(rpcRequest{Ping: true}); !errors.Is(err, ErrTransport) {
+			if _, err := s.roundTrip(rpcRequest{Kind: reqPing}); !errors.Is(err, ErrTransport) {
 				t.Fatalf("stream not poisoned after a miscounted reply: %v", err)
 			}
 		})
@@ -339,12 +367,12 @@ close$tcpc(fd=r0)
 				t.Fatal(err)
 			}
 			defer r.Close()
-			results, err := r.ExecBatch(ExecBatchRequest{Progs: progs})
+			results, err := r.ExecBatch(ExecBatchRequest{Progs: parseAll(t, r.Target(), texts...)})
 			if err != nil {
 				t.Fatalf("batch did not survive the redial: %v", err)
 			}
-			if len(results) != len(progs) {
-				t.Fatalf("results = %d, want %d", len(results), len(progs))
+			if len(results) != len(texts) {
+				t.Fatalf("results = %d, want %d", len(results), len(texts))
 			}
 			for i, res := range results {
 				if res == nil || len(res.Calls) != wantCalls[i] {
@@ -356,8 +384,8 @@ close$tcpc(fd=r0)
 			}
 			// The miscounted reply's accounting went down with its stream;
 			// only the resubmitted batch is counted.
-			if w := r.WireStats(); w.Execs != uint64(len(progs)) {
-				t.Fatalf("wire stats = %+v, want Execs=%d", w, len(progs))
+			if w := r.WireStats(); w.Execs != uint64(len(texts)) {
+				t.Fatalf("wire stats = %+v, want Execs=%d", w, len(texts))
 			}
 		})
 	}
@@ -367,7 +395,7 @@ close$tcpc(fd=r0)
 // net.Pipe: a Ping, and a 16-program summary batch against a broker that
 // elides every repeat.
 func BenchmarkStreamRoundTrip(b *testing.B) {
-	br, _ := newBrokerRig(b, "A1")
+	br, target := newBrokerRig(b, "A1")
 	srv := &Server{X: br, NewFilter: func() UplinkFilter { return &stubFilter{} }}
 	host, dev := net.Pipe()
 	go srv.Serve(dev)
@@ -377,19 +405,20 @@ func BenchmarkStreamRoundTrip(b *testing.B) {
 	b.Run("ping", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := s.roundTrip(rpcRequest{Ping: true}); err != nil {
+			if _, err := s.roundTrip(rpcRequest{Kind: reqPing}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	progs := make([]string, 16)
-	for i := range progs {
-		progs[i] = benignProg
+	texts := make([]string, 16)
+	for i := range texts {
+		texts[i] = benignProg
 	}
+	progs := encodeAll(b, target, texts...)
 	b.Run("batch16", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			results, err := s.execBatch(ExecBatchRequest{Progs: progs, Summary: true})
+			results, err := s.execBatch(progs, true)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -18,11 +18,12 @@ import (
 // client implement it, so every layer above — engine, daemon, baselines,
 // CLIs — is transport-agnostic.
 type Executor interface {
-	// Exec parses and runs a program from its DSL text form.
+	// Exec parses a program from its DSL text form against Target and
+	// runs it through ExecProg.
 	Exec(req ExecRequest) (*ExecResult, error)
-	// ExecProg runs a parsed program. Remote implementations serialize it
-	// to text and go through Exec on the device side; the round trip is
-	// lossless (the DSL text form is canonical).
+	// ExecProg runs a parsed program. Remote implementations send it in
+	// the exec encoding (dsl.AppendExec), which the broker decodes against
+	// the same target; the round trip is lossless.
 	ExecProg(p *dsl.Prog) (*ExecResult, error)
 	// Reboot restarts the device; the engine calls it after any crash.
 	Reboot() error
@@ -208,10 +209,12 @@ func (b *Broker) FailNext(n int) {
 	b.mu.Unlock()
 }
 
-// takeFault consumes one injected fault, if armed.
-func (b *Broker) takeFault() bool {
+// countExec counts one execution and consumes one injected fault, if
+// armed, reporting whether it did.
+func (b *Broker) countExec() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.execs++
 	if b.failNext > 0 {
 		b.failNext--
 		return true
@@ -227,15 +230,10 @@ func (b *Broker) Execs() uint64 {
 	return b.execs
 }
 
-// Exec implements Executor: parse, run, collect. The result is pooled;
+// Exec implements Executor: parse, then ExecProg. The result is pooled;
 // ownership transfers to the caller, who must Release it when done.
 func (b *Broker) Exec(req ExecRequest) (*ExecResult, error) {
-	b.mu.Lock()
-	target := b.target
-	b.execs++
-	b.mu.Unlock()
-
-	prog, err := dsl.ParseProg(target, req.ProgText)
+	prog, err := dsl.ParseProg(b.Target(), req.ProgText)
 	if err != nil {
 		return nil, fmt.Errorf("adb: bad program: %w", err)
 	}
@@ -243,18 +241,14 @@ func (b *Broker) Exec(req ExecRequest) (*ExecResult, error) {
 }
 
 // ExecBatch implements BatchExecutor in-process: the programs run back to
-// back in order, a nil entry marking each one that failed (bad program,
-// injected fault). Summary mode is meaningless without a wire and is
-// ignored — results are always exact. Every non-nil result is pooled and
-// owned by the caller (Release each when done).
+// back in order, a nil entry marking each one that failed (an injected
+// fault). Summary mode is meaningless without a wire and is ignored —
+// results are always exact. Every non-nil result is pooled and owned by
+// the caller (Release each when done).
 func (b *Broker) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 	out := make([]*ExecResult, len(req.Progs))
-	for i, text := range req.Progs {
-		res, err := b.Exec(ExecRequest{ProgText: text})
-		if err != nil {
-			continue
-		}
-		out[i] = res
+	for i, p := range req.Progs {
+		out[i], _ = b.ExecProg(p)
 	}
 	return out, nil
 }
@@ -300,12 +294,14 @@ func (t *resTable) release() {
 	resPool.Put(t)
 }
 
-// ExecProg runs an already-parsed program (the in-process fast path the
-// fuzzing engine uses; the transport path goes through Exec). The returned
-// result is pooled: callers that are done with it should Release it so its
-// buffers are recycled; callers that retain it may simply let it go to GC.
+// ExecProg runs an already-parsed program: the one execution path, taken
+// by the in-process engine, by Exec, and by the transport server for
+// every program it decodes. Every call counts as one execution, an
+// injected fault included. The returned result is pooled: callers that
+// are done with it should Release it so its buffers are recycled; callers
+// that retain it may simply let it go to GC.
 func (b *Broker) ExecProg(prog *dsl.Prog) (*ExecResult, error) {
-	if b.takeFault() {
+	if b.countExec() {
 		return nil, fmt.Errorf("adb: transport fault (injected)")
 	}
 	k := b.dev.K

@@ -1,11 +1,16 @@
 package adb
 
+import (
+	"encoding/binary"
+	"fmt"
+)
+
 // Coordinator wire protocol (fleet federation). A multi-host campaign runs
 // one droidcoordd; every host speaks this request/reply vocabulary to it
-// over the same gob stream discipline as the broker protocol — lock-step
-// frames, ErrTransport on stream failures, *RemoteError on coordinator
-// rejections. The frame roots are droidvet wire-frame roots: any layout
-// drift must be deliberate and lands in wire.lock.
+// in the same binary frames and lock-step discipline as the broker
+// protocol — ErrTransport on stream failures, *RemoteError on coordinator
+// rejections. Each message kind has its explicit codec at the end of this
+// file, and the golden frames in frame_test.go pin its bytes.
 //
 // The vocabulary mirrors the shard lifecycle: a host Registers once, then
 // loops Lease → (Progress…) → Complete per shard, Heartbeats in the
@@ -191,4 +196,199 @@ type FedLearns struct {
 	// per-device learn sequence numbers (Seq).
 	A, B, Dev, Seq []byte
 	Count          int
+}
+
+// Coordinator link frame kinds (see frame.go for the framing). A request
+// carries its Seq after the kind byte.
+const (
+	coordRegister  byte = 0x21 // seq, name, nonce
+	coordHeartbeat byte = 0x22 // seq, host, execs
+	coordLease     byte = 0x23 // seq, host
+	coordProgress  byte = 0x24 // seq, host, shard, execs done, checkpoint, batch?
+	coordComplete  byte = 0x25 // seq, host, shard, batch?
+	coordSync      byte = 0x26 // seq, host, batch?
+
+	coordErr        byte = 0x31 // message
+	coordRegistered byte = 0x32 // host, epoch iters
+	coordBeat       byte = 0x33 // health
+	coordShard      byte = 0x34 // flags, id, model, devices, iters, seed, checkpoint, batch?
+	coordAck        byte = 0x35 // batch?
+)
+
+// Shard flags.
+const (
+	shardDone = 1 << iota
+	shardWait
+	shardStolen
+	shardFlags = shardDone | shardWait | shardStolen
+)
+
+// appendFrame encodes the request's one payload, the first set in field
+// order.
+func (r *CoordRequest) appendFrame(b []byte) ([]byte, error) {
+	switch {
+	case r.Register != nil:
+		b = binary.AppendUvarint(append(b, coordRegister), r.Seq)
+		b = appendString(b, r.Register.Name)
+		b = binary.AppendUvarint(b, r.Register.Nonce)
+	case r.Heartbeat != nil:
+		b = binary.AppendUvarint(append(b, coordHeartbeat), r.Seq)
+		b = appendString(b, r.Heartbeat.HostID)
+		b = binary.AppendUvarint(b, r.Heartbeat.Execs)
+	case r.Lease != nil:
+		b = binary.AppendUvarint(append(b, coordLease), r.Seq)
+		b = appendString(b, r.Lease.HostID)
+	case r.Progress != nil:
+		p := r.Progress
+		b = binary.AppendUvarint(append(b, coordProgress), r.Seq)
+		b = appendString(b, p.HostID)
+		b = appendInt(b, p.ShardID)
+		b = appendInt(b, p.ExecsDone)
+		b = appendBytes(b, p.Checkpoint)
+		b = appendFedBatch(b, p.Batch)
+	case r.Complete != nil:
+		b = binary.AppendUvarint(append(b, coordComplete), r.Seq)
+		b = appendString(b, r.Complete.HostID)
+		b = appendInt(b, r.Complete.ShardID)
+		b = appendFedBatch(b, r.Complete.Batch)
+	case r.Sync != nil:
+		b = binary.AppendUvarint(append(b, coordSync), r.Seq)
+		b = appendString(b, r.Sync.HostID)
+		b = appendFedBatch(b, r.Sync.Batch)
+	default:
+		return b, fmt.Errorf("coord: request carries no payload")
+	}
+	return b, nil
+}
+
+func (r *CoordRequest) decodeFrame(d *decoder) {
+	kind := d.u8()
+	*r = CoordRequest{Seq: d.uvarint()}
+	switch kind {
+	case coordRegister:
+		r.Register = &CoordRegister{Name: d.str(), Nonce: d.uvarint()}
+	case coordHeartbeat:
+		r.Heartbeat = &CoordHeartbeat{HostID: d.str(), Execs: d.uvarint()}
+	case coordLease:
+		r.Lease = &CoordLeaseRequest{HostID: d.str()}
+	case coordProgress:
+		r.Progress = &CoordProgress{HostID: d.str(), ShardID: d.varint(), ExecsDone: d.varint(),
+			Checkpoint: d.blob(), Batch: decodeFedBatch(d)}
+	case coordComplete:
+		r.Complete = &CoordComplete{HostID: d.str(), ShardID: d.varint(), Batch: decodeFedBatch(d)}
+	case coordSync:
+		r.Sync = &CoordSync{HostID: d.str(), Batch: decodeFedBatch(d)}
+	default:
+		d.fail("unknown coordinator request kind %#x", kind)
+	}
+}
+
+// appendFrame encodes Err when it is set, else the reply's one payload,
+// the first set in field order.
+func (r *CoordReply) appendFrame(b []byte) ([]byte, error) {
+	switch {
+	case r.Err != "":
+		b = appendString(append(b, coordErr), r.Err)
+	case r.Registered != nil:
+		b = appendString(append(b, coordRegistered), r.Registered.HostID)
+		b = appendInt(b, r.Registered.EpochIters)
+	case r.Beat != nil:
+		b = appendFloat(append(b, coordBeat), r.Beat.Health)
+	case r.Shard != nil:
+		s := r.Shard
+		var flags byte
+		if s.Done {
+			flags |= shardDone
+		}
+		if s.Wait {
+			flags |= shardWait
+		}
+		if s.Stolen {
+			flags |= shardStolen
+		}
+		b = append(b, coordShard, flags)
+		b = appendInt(b, s.ID)
+		b = appendString(b, s.Model)
+		b = appendInt(b, s.Devices)
+		b = appendInt(b, s.Iters)
+		b = binary.AppendVarint(b, s.Seed)
+		b = appendBytes(b, s.Checkpoint)
+		b = appendFedBatch(b, s.Batch)
+	case r.Ack != nil:
+		b = appendFedBatch(append(b, coordAck), r.Ack.Batch)
+	default:
+		return b, fmt.Errorf("coord: reply carries no payload")
+	}
+	return b, nil
+}
+
+func (r *CoordReply) decodeFrame(d *decoder) {
+	*r = CoordReply{}
+	switch kind := d.u8(); kind {
+	case coordErr:
+		if r.Err = d.str(); r.Err == "" {
+			d.fail("empty coordinator error")
+		}
+	case coordRegistered:
+		r.Registered = &CoordRegistered{HostID: d.str(), EpochIters: d.varint()}
+	case coordBeat:
+		r.Beat = &CoordBeat{Health: d.float()}
+	case coordShard:
+		flags := d.u8()
+		if flags&^shardFlags != 0 {
+			d.fail("shard flags %#x", flags)
+		}
+		r.Shard = &CoordShard{
+			Done: flags&shardDone != 0, Wait: flags&shardWait != 0, Stolen: flags&shardStolen != 0,
+			ID: d.varint(), Model: d.str(), Devices: d.varint(), Iters: d.varint(),
+			Seed: int64(d.varint()), Checkpoint: d.blob(), Batch: decodeFedBatch(d),
+		}
+	case coordAck:
+		r.Ack = &CoordAck{Batch: decodeFedBatch(d)}
+	default:
+		d.fail("unknown coordinator reply kind %#x", kind)
+	}
+}
+
+// appendFedBatch encodes an optional federation delta: a presence byte,
+// then the programs, the vertices, and the learn block's tables and
+// delta-coded columns as they are.
+func appendFedBatch(b []byte, f *FedBatch) []byte {
+	if f == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = appendStrings(b, f.Progs)
+	b = binary.AppendUvarint(b, uint64(len(f.Verts)))
+	for _, v := range f.Verts {
+		b = appendString(b, v.Name)
+		b = appendFloat(b, v.Weight)
+	}
+	l := &f.Learns
+	b = appendStrings(b, l.Names)
+	b = appendStrings(b, l.Devices)
+	b = appendBytes(b, l.A)
+	b = appendBytes(b, l.B)
+	b = appendBytes(b, l.Dev)
+	b = appendBytes(b, l.Seq)
+	return appendInt(b, l.Count)
+}
+
+func decodeFedBatch(d *decoder) *FedBatch {
+	if !d.flag() {
+		return nil
+	}
+	f := &FedBatch{Progs: d.strs()}
+	if n := d.count(9); n > 0 {
+		f.Verts = make([]FedVertex, n)
+		for i := range f.Verts {
+			f.Verts[i] = FedVertex{Name: d.str(), Weight: d.float()}
+		}
+	}
+	f.Learns = FedLearns{
+		Names: d.strs(), Devices: d.strs(),
+		A: d.blob(), B: d.blob(), Dev: d.blob(), Seq: d.blob(),
+		Count: d.varint(),
+	}
+	return f
 }

@@ -325,40 +325,59 @@ func (r *Resilient) call(req rpcRequest) (rep rpcReply, err error) {
 	return rep, err
 }
 
-// Exec implements Executor with reconnect-and-retry. Singleton executions
-// always carry the exact, uncompressed result — minimization and crash
-// triage depend on it; ExecBatch is where the wire-efficient encoding
-// lives. The result is freshly gob-allocated, but the caller owns it and
-// should Release it so pooling works when the executor is in-process.
+// Exec implements Executor for callers that hold DSL text: it parses the
+// text against the target bound at attach time and takes ExecProg's path,
+// so a program that does not parse is rejected on the host. The result is
+// pooled and owned by the caller, who should Release it.
 func (r *Resilient) Exec(req ExecRequest) (*ExecResult, error) {
-	rep, err := r.call(rpcRequest{Exec: &req})
+	p, err := dsl.ParseProg(r.Target(), req.ProgText)
+	if err != nil {
+		return nil, fmt.Errorf("adb: bad program: %w", err)
+	}
+	return r.ExecProg(p)
+}
+
+// ExecProg implements Executor with reconnect-and-retry: the program
+// crosses the wire in the exec encoding, encoded once before the retry
+// loop. Singleton executions always carry the exact result, never
+// elided — minimization and crash triage depend on it; ExecBatch is where
+// the summary uplink lives. The result is pooled and owned by the caller,
+// who should Release it.
+func (r *Resilient) ExecProg(p *dsl.Prog) (*ExecResult, error) {
+	prog, err := dsl.AppendExec(nil, r.Target(), p)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := r.call(rpcRequest{Kind: reqExec, Progs: [][]byte{prog}})
 	if err != nil {
 		return nil, err
 	}
 	if rep.Result == nil {
-		return nil, &RemoteError{Msg: "adb: empty reply"}
+		return nil, &RemoteError{Msg: "adb: result trace does not decode"}
 	}
 	return rep.Result, nil
 }
 
-// ExecProg implements Executor: the program crosses the wire in its
-// canonical text form, serialized once before the retry loop, and is
-// re-parsed by the device-side broker (the round trip is lossless). The
-// caller owns the result and should Release it.
-func (r *Resilient) ExecProg(p *dsl.Prog) (*ExecResult, error) {
-	return r.Exec(ExecRequest{ProgText: p.String()})
-}
-
-// ExecBatch implements BatchExecutor: the batch, serialized once by the
-// caller, travels as one frame and is retried as one call. After a
-// transport failure the whole batch is resubmitted on the fresh stream:
-// no part of an unanswered frame was ever acknowledged. The returned slice
-// aligns index-for-index with req.Progs (nil on an error); nil entries
-// mark broker-rejected programs. Non-nil results are pooled and owned by
-// the caller (Release each when done).
+// ExecBatch implements BatchExecutor: the batch, encoded once, travels as
+// one frame and is retried as one call. After a transport failure the
+// whole batch is resubmitted on the fresh stream: no part of an unanswered
+// frame was ever acknowledged. The returned slice aligns index-for-index
+// with req.Progs (nil on an error); nil entries mark broker-rejected
+// programs. Non-nil results are pooled and owned by the caller (Release
+// each when done).
 func (r *Resilient) ExecBatch(req ExecBatchRequest) (out []*ExecResult, err error) {
+	t := r.Target()
+	progs := make([][]byte, len(req.Progs))
+	var buf []byte
+	for i, p := range req.Progs {
+		start := len(buf)
+		if buf, err = dsl.AppendExec(buf, t, p); err != nil {
+			return nil, err
+		}
+		progs[i] = buf[start:len(buf):len(buf)]
+	}
 	err = r.do(func(s *Stream) error {
-		out, err = s.execBatch(req)
+		out, err = s.execBatch(progs, req.Summary)
 		return err
 	})
 	return out, err
@@ -366,16 +385,13 @@ func (r *Resilient) ExecBatch(req ExecBatchRequest) (out []*ExecResult, err erro
 
 // Ping implements Executor with a liveness round trip.
 func (r *Resilient) Ping() error {
-	rep, err := r.call(rpcRequest{Ping: true})
-	if err == nil && !rep.Pong {
-		err = &RemoteError{Msg: "adb: bad pong"}
-	}
+	_, err := r.call(rpcRequest{Kind: reqPing})
 	return err
 }
 
 // Reboot implements Executor: the device-side broker reboots its device.
 func (r *Resilient) Reboot() error {
-	_, err := r.call(rpcRequest{Reboot: true})
+	_, err := r.call(rpcRequest{Kind: reqReboot})
 	return err
 }
 
@@ -385,7 +401,7 @@ func (r *Resilient) Reboot() error {
 // is harmless: the worst case is the device resetting twice, which is
 // idempotent.
 func (r *Resilient) Reset() (bool, error) {
-	rep, err := r.call(rpcRequest{Reset: true})
+	rep, err := r.call(rpcRequest{Kind: reqReset})
 	return rep.Restored, err
 }
 
@@ -393,14 +409,14 @@ func (r *Resilient) Reset() (bool, error) {
 // its device state and ships the opaque blob back. The export is read-only
 // on the device, so retrying after a dropped link is safe.
 func (r *Resilient) ExportCheckpoint() ([]byte, error) {
-	rep, err := r.call(rpcRequest{Export: true})
+	rep, err := r.call(rpcRequest{Kind: reqExport})
 	if err != nil {
 		return nil, err
 	}
-	if len(rep.Checkpoint) == 0 {
+	if len(rep.Blob) == 0 {
 		return nil, &RemoteError{Msg: "adb: empty checkpoint reply"}
 	}
-	return rep.Checkpoint, nil
+	return rep.Blob, nil
 }
 
 // ImportCheckpoint implements Cloner: the device-side broker
@@ -408,10 +424,7 @@ func (r *Resilient) ExportCheckpoint() ([]byte, error) {
 // same blob twice is idempotent, so a retry after an ambiguous transport
 // failure cannot corrupt device state.
 func (r *Resilient) ImportCheckpoint(blob []byte) error {
-	rep, err := r.call(rpcRequest{Import: &ImportRequest{Blob: blob}})
-	if err == nil && !rep.Imported {
-		err = &RemoteError{Msg: "adb: checkpoint import not acknowledged"}
-	}
+	_, err := r.call(rpcRequest{Kind: reqImport, Blob: blob})
 	return err
 }
 
@@ -419,15 +432,12 @@ func (r *Resilient) ImportCheckpoint(blob []byte) error {
 // the last-known identity (ModelID and TargetHash stay valid — they are
 // pinned by the handshake) along with the error.
 func (r *Resilient) Info() (Info, error) {
-	rep, err := r.call(rpcRequest{Info: true})
-	if err == nil && rep.Info == nil {
-		err = &RemoteError{Msg: "adb: empty info reply"}
-	}
+	rep, err := r.call(rpcRequest{Kind: reqInfo})
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err != nil {
 		return r.info, err
 	}
-	r.info = *rep.Info
+	r.info = rep.Info
 	return r.info, nil
 }

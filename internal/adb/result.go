@@ -6,7 +6,9 @@ package adb
 
 import "sync"
 
-// ExecRequest asks the broker to run one program.
+// ExecRequest asks an executor to run one program given as DSL text. It
+// is a host-side adapter for callers that hold text: executors parse it
+// against their target and run it through ExecProg. No frame carries it.
 type ExecRequest struct {
 	// ProgText is the program in DSL text form.
 	ProgText string
@@ -68,7 +70,7 @@ type ExecResult struct {
 	HALDead bool
 
 	// san tracks the pooled lifecycle; zero-sized unless built with
-	// -tags droidfuzz_sanitize. Unexported, so gob never encodes it.
+	// -tags droidfuzz_sanitize. The frame codec never encodes it.
 	san sanState
 }
 

@@ -16,4 +16,4 @@ func (*sanState) release(_, _ string) {}
 func (*sanState) alive(_ string)      {}
 func sanCaller() string               { return "" }
 
-func sanitizeWireResult(*WireResult, *ExecResult) {}
+func sanitizeFrame([]byte, Frame) {}

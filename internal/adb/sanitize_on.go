@@ -3,8 +3,11 @@
 package adb
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 )
 
 // SanitizeEnabled reports whether the droidfuzz_sanitize build tag is on.
@@ -51,54 +54,69 @@ func sanCaller() string {
 	return fmt.Sprintf("%s:%d", file, line)
 }
 
-// sanitizeWireResult asserts the delta-coded wire encoding of res decodes
-// back to the same feedback: same call outcomes, kernel trace, HAL trace,
-// and crash set. It runs on the server right after encode, while the
-// original is still live, so any framing bug is caught at its source
-// rather than as corrupt coverage on the host. Elided and errored frames
-// carry no trace to compare.
-func sanitizeWireResult(w *WireResult, res *ExecResult) {
-	if w.Err != "" || w.Elided {
+// sanitizeFrame round-trips every frame a connection writes through the
+// decoder before it goes out: the bytes must decode and re-encode to
+// themselves, and a reply carrying execution results must decode to the
+// same feedback as the live results it was encoded from — same call
+// outcomes, traces (unless elided), HAL trace, crashes and device state.
+// Any codec bug is caught at its source rather than as corrupt coverage on
+// the host.
+func sanitizeFrame(body []byte, f Frame) {
+	back := reflect.New(reflect.TypeOf(f).Elem()).Interface().(Frame)
+	if err := unmarshalFrame(body, back, nil); err != nil {
+		panic(fmt.Sprintf("droidfuzz_sanitize: %T frame does not decode back: %v", f, err))
+	}
+	if rep, ok := back.(*rpcReply); ok {
+		defer rep.release()
+	}
+	again, err := back.appendFrame(nil)
+	if err != nil || !bytes.Equal(again, body) {
+		panic(fmt.Sprintf("droidfuzz_sanitize: %T frame does not re-encode to its own bytes (err %v)", f, err))
+	}
+	orig, ok := f.(*rpcReply)
+	if !ok {
 		return
 	}
-	back, err := w.decode()
-	if err != nil {
-		panic(fmt.Sprintf("droidfuzz_sanitize: wire frame does not decode back: %v", err))
+	got := back.(*rpcReply)
+	switch orig.Kind {
+	case repResult:
+		sanitizeResult(orig.Result, got.Result, false)
+	case repBatch:
+		for i, res := range orig.Batch.Results {
+			if (res == nil) != (got.Batch.Results[i] == nil) {
+				panic(fmt.Sprintf("droidfuzz_sanitize: batch entry %d changed presence on the wire", i))
+			}
+			if res != nil {
+				sanitizeResult(res, got.Batch.Results[i], orig.Batch.Elided[i])
+			}
+		}
 	}
-	defer back.Release()
+}
+
+func sanitizeResult(res, back *ExecResult, elided bool) {
 	if len(back.Calls) != len(res.Calls) {
 		panic(fmt.Sprintf("droidfuzz_sanitize: wire round-trip changed call count: %d -> %d", len(res.Calls), len(back.Calls)))
 	}
 	for i := range res.Calls {
 		a, b := &res.Calls[i], &back.Calls[i]
-		if a.Executed != b.Executed || a.Errno != b.Errno || a.Ret != b.Ret || !equalU32(a.Cover, b.Cover) {
+		if a.Executed != b.Executed || a.Errno != b.Errno || a.Ret != b.Ret || (!elided && !slices.Equal(a.Cover, b.Cover)) {
 			panic(fmt.Sprintf("droidfuzz_sanitize: wire round-trip changed call %d (executed/errno/ret/cover)", i))
 		}
 	}
-	if !equalU32(res.KernelCov, back.KernelCov) {
-		panic(fmt.Sprintf("droidfuzz_sanitize: wire round-trip changed kernel trace: %d PCs -> %d", len(res.KernelCov), len(back.KernelCov)))
-	}
-	if len(back.HALTrace) != len(res.HALTrace) {
-		panic(fmt.Sprintf("droidfuzz_sanitize: wire round-trip changed HAL trace length: %d -> %d", len(res.HALTrace), len(back.HALTrace)))
-	}
-	for i := range res.HALTrace {
-		if res.HALTrace[i] != back.HALTrace[i] {
-			panic(fmt.Sprintf("droidfuzz_sanitize: wire round-trip changed HAL trace event %d", i))
+	if elided {
+		if len(back.KernelCov) != 0 || len(back.HALTrace) != 0 {
+			panic("droidfuzz_sanitize: elided result decoded with traces")
+		}
+	} else {
+		if !slices.Equal(res.KernelCov, back.KernelCov) {
+			panic(fmt.Sprintf("droidfuzz_sanitize: wire round-trip changed kernel trace: %d PCs -> %d", len(res.KernelCov), len(back.KernelCov)))
+		}
+		if !slices.Equal(res.HALTrace, back.HALTrace) {
+			panic("droidfuzz_sanitize: wire round-trip changed the HAL trace")
 		}
 	}
-	if len(back.Crashes) != len(res.Crashes) || back.Wedged != res.Wedged || back.HALDead != res.HALDead {
+	if !slices.Equal(res.Crashes, back.Crashes) || !slices.Equal(res.Dmesg, back.Dmesg) ||
+		back.Wedged != res.Wedged || back.HALDead != res.HALDead {
 		panic("droidfuzz_sanitize: wire round-trip changed crash/wedge state")
 	}
-}
-
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,6 @@
 package adb
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -13,21 +12,24 @@ import (
 	"droidfuzz/internal/dsl"
 )
 
-// The transport stands in for ADB: a message-framed, gob-encoded
-// request/reply channel between the host-side fuzzing engine and the
-// device-side broker. It runs over any io.ReadWriter — net.Pipe in-process,
-// or a TCP loopback socket for the CLI tools — and carries the full
-// Executor contract: program execution, reboot, liveness, and the identity
-// handshake that binds a host engine to a remote target.
+// The transport stands in for ADB: a message-framed request/reply channel
+// between the host-side fuzzing engine and the device-side broker. It runs
+// over any io.ReadWriter — net.Pipe in-process, or a TCP loopback socket
+// for the CLI tools — and carries the full Executor contract: program
+// execution, reboot, liveness, checkpoints, and the identity handshake
+// that binds a host engine to a remote target.
 //
-// Wire protocol v2 is lock-step: the host sends one request, reads its
-// reply, and only then sends the next. Every request carries a sequence
-// tag the reply must echo, so a reply that answers some other request
-// poisons the stream instead of landing on the wrong caller. Stream is the
-// client side, shared by both remote links: Resilient, the host-side
-// Executor, runs every broker call over one, and coord.Client its
-// coordinator calls. See wire.go for the batched-execution RPC, one frame
-// per batch, and the delta-coded coverage uplink.
+// Messages travel as hand-written binary frames (frame.go; the broker
+// link's kinds and layouts are in codec.go). Programs cross in the exec
+// encoding (dsl.AppendExec): call-table indexes into the target the
+// handshake fixed, not DSL text. The protocol is lock-step: the host sends
+// one request, reads its reply, and only then sends the next. Every
+// request carries a sequence tag the reply must echo, so a reply that
+// answers some other request poisons the stream instead of landing on the
+// wrong caller. Stream is the client side, shared by both remote links:
+// Resilient, the host-side Executor, runs every broker call over one, and
+// coord.Client its coordinator calls. See wire.go for the batched-execution
+// RPC, one frame per batch, and the delta-coded coverage uplink.
 
 // ErrTransport marks stream-level failures: a broken pipe, a garbled or
 // truncated frame, a deadline hit. Errors wrapping it mean the connection
@@ -43,42 +45,6 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
 
-type rpcRequest struct {
-	// Tag is the request sequence ID; the reply echoes it, and a client
-	// receiving any other tag poisons the stream.
-	Tag      uint64
-	Exec     *ExecRequest
-	Batch    *ExecBatchRequest
-	Ping     bool
-	Reboot   bool
-	Reset    bool
-	Info     bool
-	Describe bool
-	Export   bool
-	Import   *ImportRequest
-}
-
-// ImportRequest carries a portable checkpoint to re-materialize on the
-// device-side broker. The blob is an opaque pre-encoded device.Checkpoint:
-// the rpc layer never decodes it, so checkpoint evolution does not touch
-// the wire format.
-type ImportRequest struct {
-	Blob []byte
-}
-
-type rpcReply struct {
-	Tag        uint64
-	Result     *ExecResult
-	Batch      *ExecBatchReply
-	Pong       bool
-	Restored   bool
-	Info       *Info
-	Describe   *DescribeReply
-	Checkpoint []byte
-	Imported   bool
-	Err        string
-}
-
 // DescribeReply is the attach-time handshake payload: the device identity
 // plus everything a host engine needs to generate programs for it — the
 // full call-description surface and the distilled seed workloads from the
@@ -87,35 +53,38 @@ type DescribeReply struct {
 	Info Info
 	// Calls is the broker target's call-description surface in
 	// registration order; the host rebuilds an identical dsl.Target from
-	// it (gob round-trips every syntax field losslessly, so the rebuilt
-	// target hashes identically).
+	// it (the frame carries every syntax field, so the rebuilt target
+	// hashes identically), and programs cross as indexes into it.
 	Calls []*dsl.CallDesc
 	// Seeds are probing-pass seed programs in DSL text, parseable against
 	// the rebuilt target.
 	Seeds []string
 }
 
-// Stream is the client side of a remote link: one gob request/reply
-// stream, run lock-step. Resilient drives the broker protocol over it and
+// Stream is the client side of a remote link: one frame stream, run
+// lock-step. Resilient drives the broker protocol over it and
 // coord.Client the coordinator protocol. A call holds the call lock while
 // its request goes out and its reply comes back, so one request is on the
 // wire at a time and no goroutine is needed. A Stream is not resilient:
 // the first stream-level failure (a send or receive error, a call timeout,
-// a reply the caller cannot attribute) poisons it, since the gob streams
-// cannot resync; the underlying stream is closed and every later call
-// fails fast with the same ErrTransport-wrapped error. Close, the call
-// timeout and the wire accounting never take the call lock, so a call
-// blocked on a wedged peer blocks none of them.
+// a reply that does not decode or that the caller cannot attribute)
+// poisons it, since the stream cannot resync; the underlying stream is
+// closed and every later call fails fast with the same ErrTransport-wrapped
+// error. Close, the call timeout and the wire accounting never take the
+// call lock, so a call blocked on a wedged peer blocks none of them.
 type Stream struct {
 	mu      sync.Mutex // the call lock
 	rwc     io.ReadWriteCloser
-	enc     *gob.Encoder
-	dec     *gob.Decoder
+	conn    *FrameConn // under the call lock
 	timeout time.Duration
 	timer   *time.Timer   // poisons the stream when a call overruns timeout
 	tag     atomic.Uint64 // last request tag
 	broken  atomic.Pointer[error]
 	stats   atomic.Pointer[WireStats]
+	// req and rep hold roundTrip's frames under the call lock, so a
+	// broker call allocates neither.
+	req rpcRequest
+	rep rpcReply
 }
 
 // errClosed poisons a stream its owner closed.
@@ -125,20 +94,20 @@ var errClosed = fmt.Errorf("%w: stream closed", ErrTransport)
 // call: when it fires, the stream is poisoned and closed, which fails the
 // blocked call on any io.ReadWriteCloser.
 func NewStream(rwc io.ReadWriteCloser, timeout time.Duration) *Stream {
-	return &Stream{
-		rwc:     rwc,
-		enc:     gob.NewEncoder(rwc),
-		dec:     gob.NewDecoder(rwc),
-		timeout: timeout,
-	}
+	return &Stream{rwc: rwc, conn: NewFrameConn(rwc), timeout: timeout}
 }
 
-// Call sends req and decodes the peer's reply into rep (both pointers to
-// wire frames). It fails fast once the stream is poisoned; a send or
-// receive failure, or the call timeout, poisons it.
-func (s *Stream) Call(req, rep any) error {
+// Call sends req and decodes the peer's reply into rep. It fails fast once
+// the stream is poisoned; a send or receive failure, a reply that does not
+// decode, or the call timeout poisons it. A request that does not encode
+// fails alone and leaves the stream healthy.
+func (s *Stream) Call(req, rep Frame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.callLocked(req, rep)
+}
+
+func (s *Stream) callLocked(req, rep Frame) error {
 	if err := s.err(); err != nil {
 		return err
 	}
@@ -150,10 +119,13 @@ func (s *Stream) Call(req, rep any) error {
 		}
 		defer s.timer.Stop()
 	}
-	if err := s.enc.Encode(req); err != nil {
+	if err := s.conn.Write(req); err != nil {
+		if errors.Is(err, errUnencodable) {
+			return err // nothing went out
+		}
 		return s.fail(fmt.Errorf("%w: send: %v", ErrTransport, err))
 	}
-	if err := s.dec.Decode(rep); err != nil {
+	if err := s.conn.Read(rep); err != nil {
 		return s.fail(fmt.Errorf("%w: recv: %v", ErrTransport, err))
 	}
 	return nil
@@ -199,33 +171,42 @@ func (s *Stream) wireStats() WireStats {
 }
 
 // roundTrip performs one broker request. The reply must echo the request's
-// tag; one that does not cannot be attributed and poisons the stream.
+// tag; one that does not cannot be attributed and poisons the stream. An
+// error reply, or one of the wrong kind, is a *RemoteError.
 func (s *Stream) roundTrip(req rpcRequest) (rpcReply, error) {
+	s.mu.Lock()
 	req.Tag = s.tag.Add(1)
-	var rep rpcReply
-	if err := s.Call(&req, &rep); err != nil {
+	s.req = req
+	err := s.callLocked(&s.req, &s.rep)
+	rep := s.rep
+	s.req, s.rep = rpcRequest{}, rpcReply{}
+	s.mu.Unlock()
+	if err != nil {
 		return rpcReply{}, err
 	}
 	if rep.Tag != req.Tag {
+		rep.release()
 		return rpcReply{}, s.fail(fmt.Errorf("%w: recv: reply tag %d for request %d",
 			ErrTransport, rep.Tag, req.Tag))
 	}
-	if rep.Err != "" {
-		return rep, &RemoteError{Msg: rep.Err}
+	switch want := replyTo[req.Kind]; rep.Kind {
+	case want:
+		return rep, nil
+	case repErr:
+		return rpcReply{}, &RemoteError{Msg: rep.Err}
+	default:
+		rep.release()
+		return rpcReply{}, &RemoteError{Msg: fmt.Sprintf("adb: reply kind %#x to request kind %#x", rep.Kind, req.Kind)}
 	}
-	return rep, nil
 }
 
 // handshake performs the Describe round trip, rebuilds the device's
 // call-description target host-side, and verifies that the rebuilt target
 // hashes to the device-reported fingerprint.
 func (s *Stream) handshake() (*DescribeReply, *dsl.Target, error) {
-	rep, err := s.roundTrip(rpcRequest{Describe: true})
+	rep, err := s.roundTrip(rpcRequest{Kind: reqDescribe})
 	if err != nil {
 		return nil, nil, err
-	}
-	if rep.Describe == nil {
-		return nil, nil, &RemoteError{Msg: "adb: empty describe reply"}
 	}
 	target, err := dsl.NewTarget(rep.Describe.Calls...)
 	if err != nil {
@@ -261,128 +242,102 @@ type Server struct {
 // protocol-handler panics are converted to per-request error replies.
 // Requests are handled serially in arrival order.
 func (s *Server) Serve(rw io.ReadWriter) error {
-	enc := gob.NewEncoder(rw)
-	dec := gob.NewDecoder(rw)
-	st := &connState{}
-	if s.NewFilter != nil {
-		st.filter = s.NewFilter()
-	}
+	c := NewFrameConn(rw)
+	st := s.newConnState()
+	var req rpcRequest
+	var rep rpcReply
 	for {
-		req, err := decodeRequest(dec)
-		if err != nil {
+		if err := c.Read(&req); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) {
 				return nil
 			}
 			return fmt.Errorf("%w: serve decode: %v", ErrTransport, err)
 		}
-		rep := s.handle(req, st)
-		rep.Tag = req.Tag
-		err = enc.Encode(&rep)
-		rep.Result.Release()
-		if err != nil {
+		rep = s.handle(&req, st)
+		if err := s.reply(c, &rep); err != nil {
 			return fmt.Errorf("%w: serve encode: %v", ErrTransport, err)
 		}
 	}
 }
 
-// decodeRequest reads one frame, converting decoder panics on hostile
-// input into errors (gob is supposed to error on corrupt streams, but a
-// device-facing listener must not trust that for every byte sequence).
-func decodeRequest(dec *gob.Decoder) (req rpcRequest, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("decode panic: %v", r)
-		}
-	}()
-	err = dec.Decode(&req)
-	return req, err
+// newConnState builds the per-connection protocol state.
+func (s *Server) newConnState() *connState {
+	st := &connState{}
+	if s.NewFilter != nil {
+		st.filter = s.NewFilter()
+	}
+	return st
+}
+
+// reply sends rep and releases its pooled results. A reply that does not
+// encode (a checkpoint over the frame cap) goes out as an error reply.
+func (s *Server) reply(c *FrameConn, rep *rpcReply) error {
+	err := c.Write(rep)
+	rep.release()
+	if errors.Is(err, errUnencodable) {
+		err = c.Write(&rpcReply{Kind: repErr, Tag: rep.Tag, Err: err.Error()})
+	}
+	return err
 }
 
 // handle dispatches one request, converting handler panics into error
 // replies so one hostile frame cannot take the broker down.
-func (s *Server) handle(req rpcRequest, st *connState) (rep rpcReply) {
+func (s *Server) handle(req *rpcRequest, st *connState) (rep rpcReply) {
 	defer func() {
 		if r := recover(); r != nil {
-			rep = rpcReply{Err: fmt.Sprintf("adb: request panic: %v", r)}
+			rep.release()
+			rep = rpcReply{Kind: repErr, Tag: req.Tag, Err: fmt.Sprintf("adb: request panic: %v", r)}
 		}
 	}()
-	switch {
-	case req.Ping:
-		rep.Pong = true
-	case req.Reboot:
-		if err := s.X.Reboot(); err != nil {
-			rep.Err = err.Error()
-		} else {
-			rep.Pong = true
+	rep = rpcReply{Kind: replyTo[req.Kind], Tag: req.Tag}
+	var err error
+	switch req.Kind {
+	case reqPing:
+	case reqReboot:
+		err = s.X.Reboot()
+	case reqReset:
+		rep.Restored, err = s.X.Reset()
+	case reqInfo:
+		rep.Info, err = s.X.Info()
+	case reqDescribe:
+		var info Info
+		if info, err = s.X.Info(); err == nil {
+			rep.Describe = &DescribeReply{Info: info, Calls: s.X.Target().Calls(), Seeds: s.Seeds}
 		}
-	case req.Reset:
-		restored, err := s.X.Reset()
-		if err != nil {
-			rep.Err = err.Error()
-		} else {
-			rep.Pong = true
-			rep.Restored = restored
-		}
-	case req.Info:
-		info, err := s.X.Info()
-		if err != nil {
-			rep.Err = err.Error()
-		} else {
-			rep.Info = &info
-		}
-	case req.Describe:
-		info, err := s.X.Info()
-		if err != nil {
-			rep.Err = err.Error()
-			return rep
-		}
-		rep.Describe = &DescribeReply{
-			Info:  info,
-			Calls: s.X.Target().Calls(),
-			Seeds: s.Seeds,
-		}
-	case req.Export:
+	case reqExport:
 		cl, ok := s.X.(Cloner)
 		if !ok {
-			rep.Err = "adb: executor does not support checkpoints"
+			err = errNoCheckpoints
 			break
 		}
-		blob, err := cl.ExportCheckpoint()
-		if err != nil {
-			rep.Err = err.Error()
-		} else {
-			rep.Checkpoint = blob
-		}
-	case req.Import != nil:
+		rep.Blob, err = cl.ExportCheckpoint()
+	case reqImport:
 		cl, ok := s.X.(Cloner)
 		if !ok {
-			rep.Err = "adb: executor does not support checkpoints"
+			err = errNoCheckpoints
 			break
 		}
-		if err := cl.ImportCheckpoint(req.Import.Blob); err != nil {
-			rep.Err = err.Error()
-		} else {
-			rep.Imported = true
+		err = cl.ImportCheckpoint(req.Blob)
+	case reqExec:
+		// Keep the per-conn filter synced with every execution it
+		// serves, so later summary batches elide against the full
+		// stream this host has already seen. Singletons are never
+		// elided themselves.
+		if rep.Result, err = s.execOne(s.X.Target(), req.Progs[0]); err == nil {
+			st.observe(rep.Result)
 		}
-	case req.Exec != nil:
-		res, err := s.X.Exec(*req.Exec)
-		if err != nil {
-			rep.Err = err.Error()
-		} else {
-			// Keep the per-conn filter synced with every execution it
-			// serves, so later summary batches elide against the full
-			// stream this host has already seen. Singletons are never
-			// elided themselves.
-			st.observe(res)
-			rep.Result = res
-		}
-	case req.Batch != nil:
-		rep.Batch = s.execBatch(st, req.Batch)
-	default:
-		rep.Err = "adb: empty request"
+	case reqBatch:
+		rep.Batch = s.execBatch(st, req)
+	}
+	if err != nil {
+		rep = rpcReply{Kind: repErr, Tag: req.Tag, Err: err.Error()}
 	}
 	return rep
 }
+
+// errNoCheckpoints rejects a checkpoint request to an executor without
+// checkpoint support.
+var errNoCheckpoints = errors.New("adb: executor does not support checkpoints")
 
 // ServeTCP listens on ln and serves each accepted connection until the
 // listener is closed. Per-connection failures (a client feeding garbage, a

@@ -24,8 +24,11 @@ func TestServeSurvivesGarbageFrames(t *testing.T) {
 		{"huge length prefix", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, true},
 		{"ascii junk", []byte("GET / HTTP/1.1\r\n\r\n"), true},
 		{"truncated frame", truncatedFrame(t), true},
-		// gob skips a zero-length message, then hits clean EOF.
-		{"single zero byte", []byte{0x00}, false},
+		{"single zero byte", []byte{0x00}, true}, // a header cut short
+		{"zero-length frame", []byte{0, 0, 0, 0}, true},
+		{"unknown kind", []byte{0, 0, 0, 2, 0x7f, 1}, true},
+		{"reply sent to the broker", []byte{0, 0, 0, 2, repPong, 1}, true},
+		{"coordinator frame", []byte{0, 0, 0, 3, coordLease, 1, 0}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,8 +59,8 @@ func TestServeSurvivesGarbageFrames(t *testing.T) {
 	}
 }
 
-// truncatedFrame returns the first half of a valid request frame: a
-// syntactically plausible prefix that ends mid-message.
+// truncatedFrame returns the first half of a valid import request frame:
+// a syntactically plausible prefix that ends mid-message.
 func truncatedFrame(t *testing.T) []byte {
 	t.Helper()
 	srv, cli := net.Pipe()
@@ -67,10 +70,10 @@ func truncatedFrame(t *testing.T) []byte {
 		buf <- data
 	}()
 	s := NewStream(cli, 100*time.Millisecond)
-	s.roundTrip(rpcRequest{Ping: true}) // fails on the recv side; the frame still went out
+	s.roundTrip(rpcRequest{Kind: reqImport, Blob: make([]byte, 64)}) // fails on the recv side; the frame still went out
 	cli.Close()
 	frame := <-buf
-	if len(frame) < 4 {
+	if len(frame) < 64 {
 		t.Fatalf("captured frame too short: %d bytes", len(frame))
 	}
 	return frame[:len(frame)/2]
@@ -78,19 +81,19 @@ func truncatedFrame(t *testing.T) []byte {
 
 // TestConnTypedErrorAfterStreamBreak: the first stream failure poisons the
 // stream and every subsequent call fails fast with an ErrTransport-wrapped
-// error instead of deadlocking on a desynchronized gob stream.
+// error instead of deadlocking on a desynchronized frame stream.
 func TestConnTypedErrorAfterStreamBreak(t *testing.T) {
 	b, _ := newBrokerRig(t, "B")
 	host, devSide := net.Pipe()
 	go (&Server{X: b}).Serve(devSide)
 
 	c := NewStream(host, 0)
-	if _, err := c.roundTrip(rpcRequest{Ping: true}); err != nil {
+	if _, err := c.roundTrip(rpcRequest{Kind: reqPing}); err != nil {
 		t.Fatal(err)
 	}
 	devSide.Close() // broker side drops mid-session
 	host.Close()
-	_, err := c.roundTrip(rpcRequest{Ping: true})
+	_, err := c.roundTrip(rpcRequest{Kind: reqPing})
 	if err == nil {
 		t.Fatal("ping succeeded over a dead stream")
 	}
@@ -100,7 +103,7 @@ func TestConnTypedErrorAfterStreamBreak(t *testing.T) {
 	// Later calls fail fast with the same classification, no I/O.
 	start := time.Now()
 	for i := 0; i < 3; i++ {
-		if _, err := c.roundTrip(rpcRequest{Reboot: true}); !errors.Is(err, ErrTransport) {
+		if _, err := c.roundTrip(rpcRequest{Kind: reqReboot}); !errors.Is(err, ErrTransport) {
 			t.Fatalf("poisoned stream returned %v", err)
 		}
 	}
@@ -125,7 +128,7 @@ func TestStreamLockStepAgainstWedgedPeer(t *testing.T) {
 	start := time.Now()
 	errs := make(chan error, 2)
 	call := func() {
-		_, err := s.roundTrip(rpcRequest{Ping: true})
+		_, err := s.roundTrip(rpcRequest{Kind: reqPing})
 		errs <- err
 	}
 	go call()
@@ -170,26 +173,27 @@ func TestStreamRejectsMismatchedTag(t *testing.T) {
 	})
 	s := NewStream(host, 5*time.Second)
 	defer s.Close()
-	_, err := s.roundTrip(rpcRequest{Ping: true})
+	_, err := s.roundTrip(rpcRequest{Kind: reqPing})
 	if !errors.Is(err, ErrTransport) || !strings.Contains(err.Error(), "tag") {
 		t.Fatalf("mismatched tag: err = %v, want an ErrTransport tag error", err)
 	}
-	if _, err2 := s.roundTrip(rpcRequest{Ping: true}); err2 == nil || err2.Error() != err.Error() {
+	if _, err2 := s.roundTrip(rpcRequest{Kind: reqPing}); err2 == nil || err2.Error() != err.Error() {
 		t.Fatalf("stream not poisoned by a mismatched tag: %v", err2)
 	}
 }
 
-// TestRemoteErrorLeavesStreamHealthy: an application-level rejection (bad
-// program) is a *RemoteError, not a transport failure, and the connection
-// keeps working.
+// TestRemoteErrorLeavesStreamHealthy: an application-level rejection (a
+// broker-side execution failure) is a *RemoteError, not a transport
+// failure, and the connection keeps working.
 func TestRemoteErrorLeavesStreamHealthy(t *testing.T) {
 	b, _ := newBrokerRig(t, "B")
 	r := dialPipe(t, &Server{X: b}, ResilientOptions{})
 
-	_, err := r.Exec(ExecRequest{ProgText: "garbage(\n"})
+	b.FailNext(1)
+	_, err := r.Exec(ExecRequest{ProgText: "r0 = open$hci(path=\"/dev/hci0\")\n"})
 	var rerr *RemoteError
 	if !errors.As(err, &rerr) {
-		t.Fatalf("bad program error = %v, want *RemoteError", err)
+		t.Fatalf("rejected execution error = %v, want *RemoteError", err)
 	}
 	if errors.Is(err, ErrTransport) {
 		t.Fatal("application error misclassified as transport failure")

@@ -15,7 +15,6 @@ const (
 	PassDeterminism = "nondet"
 	PassPoolcheck   = "poolcheck"
 	PassLockorder   = "lockorder"
-	PassTaggedField = "wire"
 	PassSnapshot    = "snapshot"
 	PassAtomics     = "atomics"
 	PassCheckpoint  = "checkpoint"
@@ -31,7 +30,6 @@ var knownPasses = map[string]bool{
 	PassDeterminism: true,
 	PassPoolcheck:   true,
 	PassLockorder:   true,
-	PassTaggedField: true,
 	PassSnapshot:    true,
 	PassAtomics:     true,
 	PassCheckpoint:  true,
@@ -73,13 +71,6 @@ type Config struct {
 	// LockTypes are the fully qualified struct types whose mutex acquisition
 	// order lockorder records and checks for inversions.
 	LockTypes []string
-	// WireRoots are the fully qualified struct types rooting the wire-frame
-	// closure taggedfield fingerprints.
-	WireRoots []string
-	// WireManifest is the path of the committed frame-layout manifest
-	// (relative paths resolve against the module root). Empty disables the
-	// manifest comparison; interface-member checks still run.
-	WireManifest string
 	// SnapshotTypes are the fully qualified named types that are immutable
 	// once published through an atomic pointer (relation.Snapshot); the
 	// snapshot pass flags any write descending through a value of them.
@@ -222,13 +213,6 @@ func DefaultConfig() Config {
 			// twin's own subsystems (the payloads themselves stay shared).
 			"droidfuzz/internal/device.rebindSnapshot",
 		},
-		WireRoots: []string{
-			"droidfuzz/internal/adb.rpcRequest",
-			"droidfuzz/internal/adb.rpcReply",
-			"droidfuzz/internal/adb.CoordRequest",
-			"droidfuzz/internal/adb.CoordReply",
-		},
-		WireManifest: "internal/adb/wire.lock",
 		AtomicTypes: []string{
 			// The fleet's lock-free hot state: engine step counters, the
 			// two coverage collectors, dirty generations, crash-dedup
@@ -286,7 +270,6 @@ func AnalyzeTimed(prog *Program, cfg Config) ([]Diagnostic, []PassTiming) {
 	run(PassDeterminism, checkDeterminism)
 	run(PassPoolcheck, checkPools)
 	run(PassLockorder, checkLockOrder)
-	run(PassTaggedField, checkWireFrames)
 	run(PassSnapshot, checkSnapshots)
 	run(PassAtomics, checkAtomics)
 	run(PassCheckpoint, checkCheckpoints)

@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -30,14 +29,12 @@ func fixtureConfig() analysis.Config {
 			PoolVars:      []string{"vettest/pool.objPool"},
 		}},
 		LockTypes:        []string{"vettest/locks.A", "vettest/locks.B"},
-		WireRoots:        []string{"vettest/wire.Frame"},
 		SnapshotTypes:    []string{"vettest/snap.View", "vettest/snap.ParamState", "vettest/snap.Blob"},
 		SnapshotBuilders: []string{"vettest/snap.New", "vettest/snap.View.Refresh", "vettest/snap.NewParamState", "vettest/snap.NewBlob", "vettest/atomics.BuildState"},
 		AtomicTypes:      []string{"vettest/atomics.Counter", "vettest/atomics.Board"},
 		CheckpointIface:  "vettest/cpt.Subsystem",
 		GoroutineRoots:   []string{"vettest/golife"},
 		GoShutdownChans:  []string{"done", "Done"},
-		// No manifest by default; TestWireManifestLifecycle covers it.
 	}
 }
 
@@ -121,16 +118,6 @@ func TestLockorderPassOnFixture(t *testing.T) {
 	if got := matching(diags, analysis.PassLockorder, "locks.go", "self-deadlock"); len(got) == 0 {
 		dump(t, diags)
 		t.Error("transitive self-nesting not reported")
-	}
-}
-
-func TestTaggedFieldPassOnFixture(t *testing.T) {
-	diags := analysis.Analyze(loadFixture(t), fixtureConfig())
-
-	iface := matching(diags, analysis.PassTaggedField, "wire.go", "interface-typed")
-	if len(iface) != 1 || !strings.Contains(iface[0].Message, "Payload") {
-		dump(t, diags)
-		t.Errorf("interface-member findings = %v, want exactly one naming Payload", iface)
 	}
 }
 
@@ -380,64 +367,6 @@ func TestGoLifetimePassOnFixture(t *testing.T) {
 	}
 }
 
-func TestWireManifestLifecycle(t *testing.T) {
-	prog := loadFixture(t)
-	cfg := fixtureConfig()
-
-	manifest := analysis.WireManifest(prog, cfg)
-	for _, frame := range []string{"vettest/wire.Frame", "vettest/wire.Inner", "vettest/wire.Item"} {
-		if !strings.Contains(manifest, frame) {
-			t.Fatalf("manifest missing frame %s:\n%s", frame, manifest)
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "wire.lock")
-	cfg.WireManifest = path
-
-	// Missing manifest: reported.
-	if got := matching(analysis.Analyze(prog, cfg), analysis.PassTaggedField, "", "manifest missing"); len(got) != 1 {
-		t.Fatalf("missing-manifest findings = %d, want 1", len(got))
-	}
-
-	// Fresh manifest: clean (only the seeded interface-member finding
-	// remains).
-	if err := os.WriteFile(path, []byte(manifest), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags := analysis.Analyze(prog, cfg)
-	if got := matching(diags, analysis.PassTaggedField, "", "drifted"); len(got) != 0 {
-		dump(t, got)
-		t.Fatal("fresh manifest reported drift")
-	}
-	if got := matching(diags, analysis.PassTaggedField, "", "no longer exists"); len(got) != 0 {
-		t.Fatal("fresh manifest reported stale entries")
-	}
-
-	// Tampered field order: drift reported for that frame only.
-	tampered := strings.Replace(manifest,
-		"vettest/wire.Inner = Name:string; Count:int",
-		"vettest/wire.Inner = Count:int; Name:string", 1)
-	if tampered == manifest {
-		t.Fatal("tamper replacement did not apply; fixture layout changed?")
-	}
-	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	drift := matching(analysis.Analyze(prog, cfg), analysis.PassTaggedField, "", "drifted")
-	if len(drift) != 1 || !strings.Contains(drift[0].Message, "wire.Inner") {
-		t.Fatalf("drift findings = %v, want exactly one for wire.Inner", drift)
-	}
-
-	// Stale entry: a frame in the manifest that no longer exists.
-	if err := os.WriteFile(path, []byte(manifest+"vettest/wire.Gone = X:int\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stale := matching(analysis.Analyze(prog, cfg), analysis.PassTaggedField, "", "no longer exists")
-	if len(stale) != 1 || !strings.Contains(stale[0].Message, "wire.Gone") {
-		t.Fatalf("stale findings = %v, want exactly one for wire.Gone", stale)
-	}
-}
-
 // TestDefaultConfigOnRepo runs the production configuration over the real
 // module: the committed tree must be clean — this is the same gate CI's
 // droidvet job enforces, wired into `go test` so a violation fails fast
@@ -494,16 +423,5 @@ func TestDefaultConfigCoversNewPasses(t *testing.T) {
 	// there reaches the shared relation table.
 	if !slices.Contains(cfg.DeterminismRoots, "droidfuzz/internal/daemon") {
 		t.Error("DefaultConfig determinism roots miss droidfuzz/internal/daemon")
-	}
-	// The coordinator protocol vocabulary must stay under the wire manifest:
-	// without these roots a CoordShard or FedBatch field change would ship
-	// without a wire.lock diff.
-	for _, want := range []string{
-		"droidfuzz/internal/adb.CoordRequest",
-		"droidfuzz/internal/adb.CoordReply",
-	} {
-		if !slices.Contains(cfg.WireRoots, want) {
-			t.Errorf("DefaultConfig missing wire root %s", want)
-		}
 	}
 }

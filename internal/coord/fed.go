@@ -119,7 +119,7 @@ func DecodeLearns(fl adb.FedLearns) ([]relation.LearnOp, error) {
 // BatchBytes estimates one federation batch's payload size: string bytes
 // plus the encoded learn columns plus fixed per-field overhead. It is the
 // accounting both sides report as federation bytes in/out (close enough to
-// the gob frame size for capacity planning, and exactly comparable between
+// the wire frame size for capacity planning, and exactly comparable between
 // the delta-coded and naive encodings the benchmark contrasts).
 func BatchBytes(b *adb.FedBatch) int {
 	if b == nil {

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"encoding/gob"
 	"io"
 	"net"
 	"testing"
@@ -144,17 +143,16 @@ func TestLostReplyRetriedOverWire(t *testing.T) {
 			// the next request (the Lease) but hang up before replying —
 			// the server-processed / reply-lost ambiguity.
 			go func() {
-				dec := gob.NewDecoder(coordEnd)
-				enc := gob.NewEncoder(coordEnd)
+				fc := adb.NewFrameConn(coordEnd)
 				var req adb.CoordRequest
-				if err := dec.Decode(&req); err != nil {
+				if err := fc.Read(&req); err != nil {
 					return
 				}
 				rep := c.Handle(req)
-				if err := enc.Encode(&rep); err != nil {
+				if err := fc.Write(&rep); err != nil {
 					return
 				}
-				if err := dec.Decode(&req); err != nil {
+				if err := fc.Read(&req); err != nil {
 					return
 				}
 				_ = c.Handle(req)

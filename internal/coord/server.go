@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -11,12 +10,13 @@ import (
 )
 
 // The coordinator wire layer mirrors the adb transport's device protocol:
-// gob frames over any byte stream, lock-step request/reply; the client
-// side runs over the same adb.Stream. Coordinator RPCs happen per epoch
-// (hundreds of milliseconds to seconds apart), not per execution, and one
-// in-flight request per connection keeps both ends trivially in sync.
+// the same binary frames (adb.FrameConn) over any byte stream, lock-step
+// request/reply; the client side runs over the same adb.Stream.
+// Coordinator RPCs happen per epoch (hundreds of milliseconds to seconds
+// apart), not per execution, and one in-flight request per connection
+// keeps both ends trivially in sync.
 
-// Server serves a Coordinator over gob streams.
+// Server serves a Coordinator over frame streams.
 type Server struct {
 	C *Coordinator
 }
@@ -26,33 +26,23 @@ type Server struct {
 // mid-stream hangup. Handler panics become per-request error replies, so
 // one hostile frame cannot take the coordinator down.
 func (s *Server) Serve(rw io.ReadWriter) error {
-	enc := gob.NewEncoder(rw)
-	dec := gob.NewDecoder(rw)
+	c := adb.NewFrameConn(rw)
 	for {
-		req, err := decodeCoordRequest(dec)
-		if err != nil {
+		var req adb.CoordRequest
+		if err := c.Read(&req); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) {
 				return nil
 			}
 			return fmt.Errorf("%w: coord serve decode: %v", adb.ErrTransport, err)
 		}
 		rep := s.handle(req)
-		if err := enc.Encode(&rep); err != nil {
-			return fmt.Errorf("%w: coord serve encode: %v", adb.ErrTransport, err)
+		if err := c.Write(&rep); err != nil {
+			// A reply that does not encode goes out as an error reply.
+			if err = c.Write(&adb.CoordReply{Err: err.Error()}); err != nil {
+				return fmt.Errorf("%w: coord serve encode: %v", adb.ErrTransport, err)
+			}
 		}
 	}
-}
-
-// decodeCoordRequest reads one frame, converting decoder panics on hostile
-// input into errors.
-func decodeCoordRequest(dec *gob.Decoder) (req adb.CoordRequest, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("decode panic: %v", r)
-		}
-	}()
-	err = dec.Decode(&req)
-	return req, err
 }
 
 // handle dispatches one request through Coordinator.Handle — the layer

@@ -66,12 +66,12 @@ func TestSerialRunMatchesGoldenStats(t *testing.T) {
 }
 
 // TestSerialRemoteEngineMatchesInProcess is the transport half of the
-// determinism contract: a serial engine driving a broker over the gob
-// transport (net.Pipe, programs crossing the wire in canonical text form,
+// determinism contract: a serial engine driving a broker over the frame
+// transport (net.Pipe, programs crossing the wire in the exec encoding,
 // target rebuilt from the Describe handshake) must produce bit-identical
 // campaign stats and crash titles to the in-process engine for the same
-// seed. Any divergence means the text round trip or the handshake target
-// reconstruction is lossy. The second case serves the way droidbrokerd
+// seed. Any divergence means the program round trip or the handshake
+// target reconstruction is lossy. The second case serves the way droidbrokerd
 // does, with a per-connection uplink filter: the filter observes every
 // singleton execution but must never elide one.
 func TestSerialRemoteEngineMatchesInProcess(t *testing.T) {

@@ -57,6 +57,34 @@ func BenchmarkProgString(b *testing.B) {
 	}
 }
 
+func BenchmarkExecEncode(b *testing.B) {
+	target, p := seedProg(b)
+	buf, err := dsl.AppendExec(nil, target, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for b.Loop() {
+		buf, _ = dsl.AppendExec(buf[:0], target, p)
+	}
+}
+
+func BenchmarkExecDecode(b *testing.B) {
+	target, p := seedProg(b)
+	buf, err := dsl.AppendExec(nil, target, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := dsl.DecodeExec(target, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkParseDescs(b *testing.B) {
 	target, _ := probed()
 	text := dsl.FormatDescs(target.Calls())

@@ -100,8 +100,8 @@ func (p *Prog) Validate() error {
 			return fmt.Errorf("dsl: call %d (%s) has %d args, want %d",
 				i, c.Desc.Name, len(c.Args), len(c.Desc.Args))
 		}
-		for j, f := range c.Desc.Args {
-			a := c.Args[j]
+		for j := range c.Desc.Args {
+			f, a := &c.Desc.Args[j], &c.Args[j]
 			switch f.Type.Kind {
 			case KindResource:
 				if a.Ref == -1 {

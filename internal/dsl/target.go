@@ -13,6 +13,7 @@ import (
 type Target struct {
 	calls     []*CallDesc
 	byName    map[string]*CallDesc
+	index     map[*CallDesc]int      // description -> registration index
 	producers map[string][]*CallDesc // resource kind -> producing calls
 }
 
@@ -21,6 +22,7 @@ type Target struct {
 func NewTarget(descs ...*CallDesc) (*Target, error) {
 	t := &Target{
 		byName:    make(map[string]*CallDesc, len(descs)),
+		index:     make(map[*CallDesc]int, len(descs)),
 		producers: make(map[string][]*CallDesc),
 	}
 	for _, d := range descs {
@@ -47,6 +49,7 @@ func (t *Target) add(d *CallDesc) error {
 	if _, dup := t.byName[d.Name]; dup {
 		return fmt.Errorf("dsl: duplicate call description %q", d.Name)
 	}
+	t.index[d] = len(t.calls)
 	t.calls = append(t.calls, d)
 	t.byName[d.Name] = d
 	if d.Ret != "" {

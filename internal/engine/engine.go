@@ -565,8 +565,7 @@ func (e *Engine) produce(n, lookahead int) (next func() pending, fed func()) {
 
 // execBatch is the loop's one executor call: it applies the reset mode,
 // ships the items — through ExecProg when batch is 1, otherwise through
-// ExecBatch with each program serialized once (retries inside a resilient
-// executor reuse the same text) — and folds every result back in order,
+// one ExecBatch — and folds every result back in order,
 // calling fed after each. The call's journaled learns land once the last
 // result is fed back, before its fed hook captures the next view.
 // Programs a batch failed to cover (a transport error after retries, a
@@ -583,11 +582,11 @@ func (e *Engine) execBatch(items []pending, batch int, fed func()) {
 		fed()
 		return
 	}
-	texts := make([]string, len(items))
+	progs := make([]*dsl.Prog, len(items))
 	for i, it := range items {
-		texts[i] = it.p.String()
+		progs[i] = it.p
 	}
-	results, _ := e.bx.ExecBatch(adb.ExecBatchRequest{Progs: texts, Summary: true})
+	results, _ := e.bx.ExecBatch(adb.ExecBatchRequest{Progs: progs, Summary: true})
 	for i, it := range items {
 		var res *adb.ExecResult
 		err := errBatchShortfall

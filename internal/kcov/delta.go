@@ -1,6 +1,9 @@
 package kcov
 
-import "errors"
+import (
+	"errors"
+	"math/bits"
+)
 
 // Delta codec for PC traces crossing the executor wire (transport v2).
 //
@@ -40,6 +43,19 @@ func AppendDelta(dst []byte, trace []uint32) []byte {
 		prev = int64(pc)
 	}
 	return dst
+}
+
+// DeltaLen is len(AppendDelta(nil, trace)), computed without encoding.
+func DeltaLen(trace []uint32) int {
+	n := 0
+	prev := int64(0)
+	for _, pc := range trace {
+		d := int64(pc) - prev
+		u := uint64(d<<1) ^ uint64(d>>63)
+		n += (bits.Len64(u|1) + 6) / 7
+		prev = int64(pc)
+	}
+	return n
 }
 
 // DecodeDelta appends the PCs encoded in data onto dst, reusing dst's

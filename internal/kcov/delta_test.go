@@ -10,6 +10,9 @@ import (
 func roundTrip(t *testing.T, trace []uint32) []byte {
 	t.Helper()
 	enc := AppendDelta(nil, trace)
+	if n := DeltaLen(trace); n != len(enc) {
+		t.Fatalf("DeltaLen(%v) = %d, encoding is %d bytes", trace, n, len(enc))
+	}
 	dec, err := DecodeDelta(nil, enc)
 	if err != nil {
 		t.Fatalf("decode(%v): %v", trace, err)
