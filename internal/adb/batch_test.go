@@ -136,7 +136,7 @@ close$tcpc(fd=r0)
 `
 	progs := encodeAll(t, target, benignProg, short, benignProg, benignProg, short)
 	progs[2] = progs[2][:len(progs[2])-1] // truncated: the last argument is cut
-	results, err := s.execBatch(progs, false)
+	results, _, err := s.execBatch(progs, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ close$tcpc(fd=r0)
 			go serveHooked(&Server{X: b}, dev, miscountFirstBatch(skew))
 			s := NewStream(host, opts.CallTimeout)
 			defer s.Close()
-			results, err := s.execBatch(encodeAll(t, target, texts...), false)
+			results, _, err := s.execBatch(encodeAll(t, target, texts...), false, 0)
 			if !errors.Is(err, ErrTransport) {
 				t.Fatalf("miscounted reply: err = %v, want ErrTransport", err)
 			}
@@ -418,7 +418,7 @@ func BenchmarkStreamRoundTrip(b *testing.B) {
 	b.Run("batch16", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			results, err := s.execBatch(progs, true)
+			results, _, err := s.execBatch(progs, true, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -240,13 +240,17 @@ func (b *Broker) Exec(req ExecRequest) (*ExecResult, error) {
 	return b.ExecProg(prog)
 }
 
-// ExecBatch implements BatchExecutor in-process: the programs run back to
-// back in order, a nil entry marking each one that failed (an injected
-// fault). Summary mode is meaningless without a wire and is ignored —
-// results are always exact. Every non-nil result is pooled and owned by
-// the caller (Release each when done).
+// ExecBatch implements BatchExecutor in-process: the requested resets run
+// first, then the programs back to back in order, a nil entry marking each
+// one that failed (an injected fault). Summary mode is meaningless without
+// a wire and is ignored — results are always exact. Every non-nil result
+// is pooled and owned by the caller (Release each when done).
 func (b *Broker) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
-	out := make([]*ExecResult, len(req.Progs))
+	rebooted, _ := runResets(b, req.Resets) // an in-process reset cannot fail
+	if req.Rebooted != nil {
+		*req.Rebooted = rebooted
+	}
+	out := req.results()
 	for i, p := range req.Progs {
 		out[i], _ = b.ExecProg(p)
 	}

@@ -20,8 +20,8 @@ const (
 	reqDescribe byte = 0x05 // tag
 	reqExport   byte = 0x06 // tag
 	reqImport   byte = 0x07 // tag, checkpoint bytes
-	reqExec     byte = 0x08 // tag, program bytes
-	reqBatch    byte = 0x09 // tag, summary, count, program bytes...
+	reqExec     byte = 0x08 // tag, resets, program bytes
+	reqBatch    byte = 0x09 // tag, resets, summary, count, program bytes...
 )
 
 // Reply kinds.
@@ -33,8 +33,8 @@ const (
 	repDescribe   byte = 0x15 // tag, info, call descriptions, seeds
 	repCheckpoint byte = 0x16 // tag, checkpoint bytes
 	repImported   byte = 0x17 // tag
-	repResult     byte = 0x18 // tag, result
-	repBatch      byte = 0x19 // tag, count, (0 | 1 result)..., wire stats
+	repResult     byte = 0x18 // tag, rebooted, result
+	repBatch      byte = 0x19 // tag, rebooted, count, (0 | 1 result)..., wire stats
 )
 
 // replyTo is the reply kind that answers each request kind.
@@ -55,6 +55,9 @@ type rpcRequest struct {
 	// broker decodes each one on its own, so a bad program fails alone. A
 	// decoded request's programs alias the frame buffer.
 	Progs [][]byte
+	// Resets is how many pristine resets an exec or batch request runs
+	// before its first program (ExecBatchRequest.Resets).
+	Resets int
 	// Summary asks a batch for the interesting-only uplink.
 	Summary bool
 	// Blob is an import request's opaque device checkpoint.
@@ -67,6 +70,7 @@ type rpcReply struct {
 	Tag      uint64
 	Err      string         // repErr: the broker rejected the request
 	Restored bool           // repReset: restored rather than rebooted
+	Rebooted int            // repResult, repBatch: carried resets that rebooted
 	Info     Info           // repInfo
 	Describe *DescribeReply // repDescribe
 	Blob     []byte         // repCheckpoint
@@ -95,7 +99,7 @@ func (r *rpcReply) release() {
 	}
 }
 
-func (r *rpcRequest) appendFrame(b []byte) ([]byte, error) {
+func (r *rpcRequest) appendFrame(b []byte) (_ []byte, err error) {
 	b = append(b, r.Kind)
 	b = binary.AppendUvarint(b, r.Tag)
 	switch r.Kind {
@@ -106,8 +110,14 @@ func (r *rpcRequest) appendFrame(b []byte) ([]byte, error) {
 		if len(r.Progs) != 1 {
 			return b, fmt.Errorf("adb: exec request carries %d programs, want 1", len(r.Progs))
 		}
+		if b, err = appendResets(b, r.Resets); err != nil {
+			return b, err
+		}
 		b = appendBytes(b, r.Progs[0])
 	case reqBatch:
+		if b, err = appendResets(b, r.Resets); err != nil {
+			return b, err
+		}
 		b = appendBool(b, r.Summary)
 		b = binary.AppendUvarint(b, uint64(len(r.Progs)))
 		for _, p := range r.Progs {
@@ -126,8 +136,10 @@ func (r *rpcRequest) decodeFrame(d *decoder) {
 	case reqImport:
 		r.Blob = d.blob()
 	case reqExec:
+		r.Resets = decodeResets(d)
 		r.Progs = [][]byte{d.view()}
 	case reqBatch:
+		r.Resets = decodeResets(d)
 		r.Summary = d.flag()
 		r.Progs = make([][]byte, d.count(1))
 		for i := range r.Progs {
@@ -160,11 +172,13 @@ func (r *rpcReply) appendFrame(b []byte) ([]byte, error) {
 		if r.Result == nil {
 			return b, fmt.Errorf("adb: result reply without a result")
 		}
+		b = binary.AppendUvarint(b, uint64(r.Rebooted))
 		b = appendResult(b, r.Result, false)
 	case repBatch:
 		if r.Batch == nil {
 			return b, fmt.Errorf("adb: batch reply without a payload")
 		}
+		b = binary.AppendUvarint(b, uint64(r.Rebooted))
 		b = appendBatch(b, r.Batch)
 	default:
 		return b, fmt.Errorf("adb: unknown reply kind %#x", r.Kind)
@@ -187,8 +201,10 @@ func (r *rpcReply) decodeFrame(d *decoder) {
 	case repCheckpoint:
 		r.Blob = d.blob()
 	case repResult:
+		r.Rebooted = decodeResets(d)
 		r.Result, _ = decodeResult(d)
 	case repBatch:
+		r.Rebooted = decodeResets(d)
 		r.Batch = decodeBatch(d)
 	default:
 		d.fail("unknown reply kind %#x", r.Kind)
@@ -197,6 +213,26 @@ func (r *rpcReply) decodeFrame(d *decoder) {
 		r.release()
 		r.Result, r.Batch = nil, nil
 	}
+}
+
+// appendResets appends a reset count, which must lie in 0..maxResets.
+func appendResets(b []byte, n int) ([]byte, error) {
+	if n < 0 || n > maxResets {
+		return b, fmt.Errorf("adb: %d resets outside 0..%d", n, maxResets)
+	}
+	return binary.AppendUvarint(b, uint64(n)), nil
+}
+
+// decodeResets reads a reset count (carried resets, or the rebooted ones
+// among them) and bounds it by maxResets, so a hostile frame cannot
+// stall the broker in a reset loop.
+func decodeResets(d *decoder) int {
+	n := d.uvarint()
+	if n > maxResets {
+		d.fail("%d resets over the cap of %d", n, maxResets)
+		return 0
+	}
+	return int(n)
 }
 
 func appendInfo(b []byte, in *Info) []byte {

@@ -2,6 +2,7 @@ package adb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
@@ -71,8 +72,8 @@ func goldenFrames() []golden {
 		{"req/describe", &rpcRequest{Kind: reqDescribe, Tag: 5}, "000000020505"},
 		{"req/export", &rpcRequest{Kind: reqExport, Tag: 6}, "000000020606"},
 		{"req/import", &rpcRequest{Kind: reqImport, Tag: 7, Blob: []byte{0xca, 0xfe}}, "00000005070702cafe"},
-		{"req/exec", &rpcRequest{Kind: reqExec, Tag: 8, Progs: [][]byte{{1, 0, 2}}}, "00000006080803010002"},
-		{"req/batch", &rpcRequest{Kind: reqBatch, Tag: 300, Summary: true, Progs: [][]byte{{1, 2}, {3}}}, "0000000a09ac0201020201020103"},
+		{"req/exec", &rpcRequest{Kind: reqExec, Tag: 8, Resets: 2, Progs: [][]byte{{1, 0, 2}}}, "0000000708080203010002"},
+		{"req/batch", &rpcRequest{Kind: reqBatch, Tag: 300, Resets: 3, Summary: true, Progs: [][]byte{{1, 2}, {3}}}, "0000000b09ac020301020201020103"},
 
 		{"rep/err", &rpcReply{Kind: repErr, Tag: 300, Err: "boom"}, "0000000811ac0204626f6f6d"},
 		{"rep/pong", &rpcReply{Kind: repPong, Tag: 1}, "000000021201"},
@@ -86,12 +87,12 @@ func goldenFrames() []golden {
 		}}, "0000006b1505014201020201010968616c247376632e6d0205696f63746c03737663016dac02062f7379732f700101610401c80102040580010466645f7802017802797a02000000000000e03f000000000000f83f0601620182010466645f78000000000000d03f0101047328290a"},
 		{"rep/checkpoint", &rpcReply{Kind: repCheckpoint, Tag: 6, Blob: []byte{0xbe, 0xef}}, "00000005160602beef"},
 		{"rep/imported", &rpcReply{Kind: repImported, Tag: 7}, "000000021707"},
-		{"rep/result", &rpcReply{Kind: repResult, Tag: 8, Result: fullResult()}, "000000691808030201024f4b03000645494e56414c808080808020072020a0ffffff1f010e0c2020a0ffffff1fd1ffffff1f01090305696f63746c092f6465762f67707530de810301054b4153414e01740164066b65726e656c02086c696e65206f6e65086c696e652074776f"},
-		{"rep/batch", &rpcReply{Kind: repBatch, Tag: 9, Batch: &batchReply{
+		{"rep/result", &rpcReply{Kind: repResult, Tag: 8, Rebooted: 1, Result: fullResult()}, "0000006a180801030201024f4b03000645494e56414c808080808020072020a0ffffff1f010e0c2020a0ffffff1fd1ffffff1f01090305696f63746c092f6465762f67707530de810301054b4153414e01740164066b65726e656c02086c696e65206f6e65086c696e652074776f"},
+		{"rep/batch", &rpcReply{Kind: repBatch, Tag: 9, Rebooted: 2, Batch: &batchReply{
 			Results: []*ExecResult{fullResult(), nil, fullResult()},
 			Elided:  []bool{false, false, true},
 			Stats:   WireStats{Execs: 1, Elided: 2, CovRawBytes: 300, CovWireBytes: 4},
-		}}, "000000ac19090301030201024f4b03000645494e56414c808080808020072020a0ffffff1f010e0c2020a0ffffff1fd1ffffff1f01090305696f63746c092f6465762f67707530de810301054b4153414e01740164066b65726e656c02086c696e65206f6e65086c696e652074776f0001070201024f4b03000645494e56414c80808080802001054b4153414e01740164066b65726e656c02086c696e65206f6e65086c696e652074776f0102ac0204"},
+		}}, "000000ad1909020301030201024f4b03000645494e56414c808080808020072020a0ffffff1f010e0c2020a0ffffff1fd1ffffff1f01090305696f63746c092f6465762f67707530de810301054b4153414e01740164066b65726e656c02086c696e65206f6e65086c696e652074776f0001070201024f4b03000645494e56414c80808080802001054b4153414e01740164066b65726e656c02086c696e65206f6e65086c696e652074776f0102ac0204"},
 
 		{"coord/register", &CoordRequest{Seq: 1, Register: &CoordRegister{Name: "alpha", Nonce: 99}}, "00000009210105616c70686163"},
 		{"coord/heartbeat", &CoordRequest{Seq: 2, Heartbeat: &CoordHeartbeat{HostID: "h1", Execs: 1000}}, "000000072202026831e807"},
@@ -188,6 +189,31 @@ func sameResult(want, got *ExecResult, elided bool) bool {
 		}
 	}
 	return reflect.DeepEqual(w, g)
+}
+
+// TestResetsBounded: a request carries at most maxResets resets. One
+// over the cap does not encode, so nothing goes out, and a frame that
+// claims more does not decode.
+func TestResetsBounded(t *testing.T) {
+	for _, kind := range []byte{reqExec, reqBatch} {
+		req := &rpcRequest{Kind: kind, Tag: 1, Resets: maxResets, Progs: [][]byte{{0}}}
+		b, err := marshalFrame(nil, req)
+		if err != nil {
+			t.Fatalf("kind %#x: %d resets do not encode: %v", kind, maxResets, err)
+		}
+		var back rpcRequest
+		if err := unmarshalFrame(b[4:], &back, nil); err != nil || back.Resets != maxResets {
+			t.Fatalf("kind %#x: decoded %d resets (err %v), want %d", kind, back.Resets, err, maxResets)
+		}
+		req.Resets = maxResets + 1
+		if _, err := marshalFrame(nil, req); !errors.Is(err, errUnencodable) {
+			t.Fatalf("kind %#x: %d resets: err = %v, want errUnencodable", kind, req.Resets, err)
+		}
+		over := append([]byte{kind, 1}, binary.AppendUvarint(nil, maxResets+1)...)
+		if err := unmarshalFrame(append(over, 1, 0), &back, nil); !errors.Is(err, errCorrupt) {
+			t.Fatalf("kind %#x: a frame over the cap decoded: err = %v", kind, err)
+		}
+	}
 }
 
 // TestGoldenFramesCoverEveryField fails when a field is added to any type

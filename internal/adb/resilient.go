@@ -344,43 +344,77 @@ func (r *Resilient) Exec(req ExecRequest) (*ExecResult, error) {
 // the summary uplink lives. The result is pooled and owned by the caller,
 // who should Release it.
 func (r *Resilient) ExecProg(p *dsl.Prog) (*ExecResult, error) {
-	prog, err := dsl.AppendExec(nil, r.Target(), p)
-	if err != nil {
-		return nil, err
+	res, _, err := r.exec(p, 0)
+	if err == nil && res == nil {
+		err = &RemoteError{Msg: "adb: result trace does not decode"}
 	}
-	rep, err := r.call(rpcRequest{Kind: reqExec, Progs: [][]byte{prog}})
-	if err != nil {
-		return nil, err
-	}
-	if rep.Result == nil {
-		return nil, &RemoteError{Msg: "adb: result trace does not decode"}
-	}
-	return rep.Result, nil
+	return res, err
 }
 
-// ExecBatch implements BatchExecutor: the batch, encoded once, travels as
-// one frame and is retried as one call. After a transport failure the
-// whole batch is resubmitted on the fresh stream: no part of an unanswered
-// frame was ever acknowledged. The returned slice aligns index-for-index
-// with req.Progs (nil on an error); nil entries mark broker-rejected
-// programs. Non-nil results are pooled and owned by the caller (Release
-// each when done).
-func (r *Resilient) ExecBatch(req ExecBatchRequest) (out []*ExecResult, err error) {
-	t := r.Target()
-	progs := make([][]byte, len(req.Progs))
-	var buf []byte
-	for i, p := range req.Progs {
-		start := len(buf)
-		if buf, err = dsl.AppendExec(buf, t, p); err != nil {
+// exec sends one program, and the resets to run before it, as the
+// singleton exec frame, and returns its pooled result (nil when the trace
+// did not decode), which the caller Releases, and how many of the resets
+// rebooted.
+func (r *Resilient) exec(p *dsl.Prog, resets int) (*ExecResult, int, error) {
+	prog, err := dsl.AppendExec(nil, r.Target(), p)
+	if err != nil {
+		return nil, 0, err
+	}
+	rep, err := r.call(rpcRequest{Kind: reqExec, Progs: [][]byte{prog}, Resets: resets})
+	if err != nil {
+		return nil, 0, err
+	}
+	return rep.Result, rep.Rebooted, nil
+}
+
+// ExecBatch implements BatchExecutor: the resets and the batch, encoded
+// once, travel as one frame and are retried as one call. After a
+// transport failure the whole frame is resubmitted on the fresh stream,
+// resets included: no part of an unanswered frame was ever acknowledged,
+// and a reset is idempotent. One program without the summary uplink
+// travels as the singleton exec frame, so WireStats keeps counting
+// summary batches only. The returned slice aligns index-for-index with
+// req.Progs (nil on an error); nil entries mark broker-rejected programs.
+// Non-nil results are pooled and owned by the caller (Release each when
+// done).
+func (r *Resilient) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
+	var results []*ExecResult
+	var rebooted int
+	if len(req.Progs) == 1 && !req.Summary {
+		res, n, err := r.exec(req.Progs[0], req.Resets)
+		if err != nil {
 			return nil, err
 		}
-		progs[i] = buf[start:len(buf):len(buf)]
+		results, rebooted = req.results(), n
+		results[0] = res
+	} else {
+		t := r.Target()
+		progs := make([][]byte, len(req.Progs))
+		var buf []byte
+		for i, p := range req.Progs {
+			start := len(buf)
+			var err error
+			if buf, err = dsl.AppendExec(buf, t, p); err != nil {
+				return nil, err
+			}
+			progs[i] = buf[start:len(buf):len(buf)]
+		}
+		err := r.do(func(s *Stream) (err error) {
+			results, rebooted, err = s.execBatch(progs, req.Summary, req.Resets)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		if len(req.Results) == len(results) {
+			copy(req.Results, results)
+			results = req.Results
+		}
 	}
-	err = r.do(func(s *Stream) error {
-		out, err = s.execBatch(progs, req.Summary)
-		return err
-	})
-	return out, err
+	if req.Rebooted != nil {
+		*req.Rebooted = rebooted
+	}
+	return results, nil
 }
 
 // Ping implements Executor with a liveness round trip.
@@ -399,7 +433,8 @@ func (r *Resilient) Reboot() error {
 // from the boot snapshot, rebooting only when restore cannot reach
 // pristine state; the reply reports which path ran. A reconnect mid-Reset
 // is harmless: the worst case is the device resetting twice, which is
-// idempotent.
+// idempotent. A reset followed by an execution is cheaper as that
+// execution's ExecBatchRequest.Resets: one frame instead of two.
 func (r *Resilient) Reset() (bool, error) {
 	rep, err := r.call(rpcRequest{Kind: reqReset})
 	return rep.Restored, err

@@ -224,6 +224,9 @@ func (s *Stream) handshake() (*DescribeReply, *dsl.Target, error) {
 // Describe handshake with the executor's identity plus optional seed
 // programs from the probing pass.
 type Server struct {
+	// X runs the requests. The server decodes every program of a
+	// connection into the same storage, so X must not keep a program, or
+	// its argument buffers, past the ExecProg call that ran it.
 	X Executor
 	// Seeds are probing-pass seed programs in DSL text form, handed to
 	// hosts at handshake so a remote engine bootstraps the same corpus an
@@ -323,11 +326,16 @@ func (s *Server) handle(req *rpcRequest, st *connState) (rep rpcReply) {
 		// serves, so later summary batches elide against the full
 		// stream this host has already seen. Singletons are never
 		// elided themselves.
-		if rep.Result, err = s.execOne(s.X.Target(), req.Progs[0]); err == nil {
+		if rep.Rebooted, err = runResets(s.X, req.Resets); err != nil {
+			break
+		}
+		if rep.Result, err = s.execOne(st, s.X.Target(), req.Progs[0]); err == nil {
 			st.observe(rep.Result)
 		}
 	case reqBatch:
-		rep.Batch = s.execBatch(st, req)
+		if rep.Rebooted, err = runResets(s.X, req.Resets); err == nil {
+			rep.Batch = s.execBatch(st, req)
+		}
 	}
 	if err != nil {
 		rep = rpcReply{Kind: repErr, Tag: req.Tag, Err: err.Error()}

@@ -29,6 +29,7 @@ func TestServeSurvivesGarbageFrames(t *testing.T) {
 		{"unknown kind", []byte{0, 0, 0, 2, 0x7f, 1}, true},
 		{"reply sent to the broker", []byte{0, 0, 0, 2, repPong, 1}, true},
 		{"coordinator frame", []byte{0, 0, 0, 3, coordLease, 1, 0}, true},
+		{"resets over the cap", []byte{0, 0, 0, 7, reqExec, 1, 0x81, 0x80, 0x04, 1, 0}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

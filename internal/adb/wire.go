@@ -17,9 +17,10 @@ import (
 // have computed locally, at a fraction of the bytes.
 
 // BatchExecutor is the optional batched-execution extension of Executor:
-// run several programs back to back and return one result per program (a
-// nil entry marks a program that failed to execute). The in-process Broker
-// and the Resilient client implement it.
+// run the requested resets, then several programs back to back, and return
+// one result per program (a nil entry marks a program that failed to
+// execute). The in-process Broker and the Resilient client implement it,
+// and the engine makes every execution through it.
 type BatchExecutor interface {
 	ExecBatch(req ExecBatchRequest) ([]*ExecResult, error)
 }
@@ -34,6 +35,33 @@ type ExecBatchRequest struct {
 	// its per-connection filter. Requires the server to be configured with
 	// an UplinkFilter; otherwise results are merely delta-coded.
 	Summary bool
+	// Resets is how many pristine resets (Executor.Reset) the device runs,
+	// in order, before the first program. A remote executor carries them
+	// in the same frame as the programs, so a reset costs no round trip of
+	// its own; it carries at most 65 536 per call.
+	Resets int
+	// Rebooted, when not nil, receives how many of the Resets fell back to
+	// a reboot; the others restored. It is written only when ExecBatch
+	// returns no error; after an error, whether the resets ran is unknown.
+	Rebooted *int
+	// Results, when it has one slot per program, receives the results and
+	// is returned, so a caller that reuses one slice allocates none;
+	// otherwise ExecBatch allocates the slice it returns.
+	Results []*ExecResult
+}
+
+// maxResets bounds the resets one exec or batch frame may carry.
+const maxResets = 1 << 16
+
+// results returns the slice ExecBatch fills with pooled results for the
+// caller to Release: req.Results when it fits, a fresh one otherwise,
+// cleared either way.
+func (req *ExecBatchRequest) results() []*ExecResult {
+	if len(req.Results) != len(req.Progs) {
+		return make([]*ExecResult, len(req.Progs))
+	}
+	clear(req.Results)
+	return req.Results
 }
 
 // WireStats is the uplink accounting for one connection's batched
@@ -80,11 +108,15 @@ type UplinkFilter interface {
 	Observe(res *ExecResult) bool
 }
 
-// connState is the per-served-connection protocol state: the uplink filter
-// and the byte accounting the batch replies report back to the host.
+// connState is the per-served-connection protocol state: the uplink
+// filter, the byte accounting the batch replies report back to the host,
+// and the decoder whose program each execution reuses. The broker keeps
+// no part of a program past its ExecProg, so one program's storage serves
+// every execution on the connection.
 type connState struct {
 	filter UplinkFilter
 	stats  WireStats
+	progs  dsl.ExecDecoder
 }
 
 // observe feeds one result to the filter (if any), reporting novelty.
@@ -117,29 +149,30 @@ func (st *connState) account(res *ExecResult, elide bool) {
 	}
 }
 
-// execBatch runs a batch as one frame: one request carries every program
-// and one reply every result. A nil entry marks a program the broker
+// execBatch runs a batch as one frame: one request carries the resets to
+// run first and every program, and one reply every result and how many of
+// the resets rebooted. A nil entry marks a program the broker
 // rejected (or whose trace arrived corrupt); the slice aligns
 // index-for-index with progs. On an error it returns no results: a reply
 // whose result count differs from the program count cannot be attributed
 // to programs, so it poisons the stream. Non-nil results are pooled and
 // owned by the caller (Release each).
-func (s *Stream) execBatch(progs [][]byte, summary bool) ([]*ExecResult, error) {
+func (s *Stream) execBatch(progs [][]byte, summary bool, resets int) (results []*ExecResult, rebooted int, err error) {
 	n := len(progs)
-	if n == 0 {
-		return nil, nil
+	if n == 0 && resets == 0 {
+		return nil, 0, nil
 	}
-	rep, err := s.roundTrip(rpcRequest{Kind: reqBatch, Progs: progs, Summary: summary})
+	rep, err := s.roundTrip(rpcRequest{Kind: reqBatch, Progs: progs, Summary: summary, Resets: resets})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if got := len(rep.Batch.Results); got != n {
 		rep.release()
-		return nil, s.fail(fmt.Errorf("%w: batch reply carries %d results for %d programs",
+		return nil, 0, s.fail(fmt.Errorf("%w: batch reply carries %d results for %d programs",
 			ErrTransport, got, n))
 	}
 	s.stats.Store(&rep.Batch.Stats)
-	return rep.Batch.Results, nil
+	return rep.Batch.Results, rep.Rebooted, nil
 }
 
 // execBatch is the server side of ExecBatch: run every program in the
@@ -155,7 +188,7 @@ func (s *Server) execBatch(st *connState, req *rpcRequest) *batchReply {
 		Elided:  make([]bool, len(req.Progs)),
 	}
 	for i, prog := range req.Progs {
-		res, err := s.execOne(t, prog)
+		res, err := s.execOne(st, t, prog)
 		if err != nil {
 			continue
 		}
@@ -169,20 +202,38 @@ func (s *Server) execBatch(st *connState, req *rpcRequest) *batchReply {
 	return rep
 }
 
-// execOne decodes one exec-encoded program against t and runs it, with the
-// same panic guard the per-request handler has: one hostile program must
-// not take down the whole frame. A program that does not decode fails
-// alone. The pooled result is owned by the caller, who Releases it after
-// encoding the reply frame.
-func (s *Server) execOne(t *dsl.Target, prog []byte) (res *ExecResult, err error) {
+// execOne decodes one exec-encoded program against t into the
+// connection's reusable program and runs it, with the same panic guard the
+// per-request handler has: one hostile program must not take down the
+// whole frame. A program that does not decode fails alone. The pooled
+// result is owned by the caller, who Releases it after encoding the reply
+// frame.
+func (s *Server) execOne(st *connState, t *dsl.Target, prog []byte) (res *ExecResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("adb: exec panic: %v", r)
 		}
 	}()
-	p, err := dsl.DecodeExec(t, prog)
+	p, err := st.progs.Decode(t, prog)
 	if err != nil {
 		return nil, fmt.Errorf("adb: bad program: %w", err)
 	}
 	return s.X.ExecProg(p)
+}
+
+// runResets runs the n pristine resets an execution request carries on x,
+// in order, and counts the ones that fell back to a reboot. The first
+// failure stops it, so a served request fails before any of its programs
+// runs.
+func runResets(x Executor, n int) (rebooted int, err error) {
+	for ; n > 0; n-- {
+		restored, err := x.Reset()
+		if err != nil {
+			return rebooted, err
+		}
+		if !restored {
+			rebooted++
+		}
+	}
+	return rebooted, nil
 }

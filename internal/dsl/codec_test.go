@@ -78,8 +78,9 @@ func BenchmarkExecDecode(b *testing.B) {
 	}
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
+	var x dsl.ExecDecoder
 	for b.Loop() {
-		if _, err := dsl.DecodeExec(target, buf); err != nil {
+		if _, err := x.Decode(target, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

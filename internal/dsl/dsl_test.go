@@ -215,7 +215,8 @@ func TestInsertCallRenumbers(t *testing.T) {
 	target := testTarget(t)
 	p := buildProg(t, target)
 	extra := &Call{Desc: target.Lookup("open$dev"), Args: []Arg{{Str: "/dev/dev1"}}}
-	q := p.InsertCall(0, extra)
+	q := p.Clone()
+	q.InsertCall(0, extra)
 	if q.Len() != 5 {
 		t.Fatalf("len = %d", q.Len())
 	}

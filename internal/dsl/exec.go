@@ -92,28 +92,49 @@ func execClass(k Kind) int {
 // outside the target, a forward resource reference, or trailing bytes.
 var ErrExecCorrupt = errors.New("dsl: corrupt exec encoding")
 
-// DecodeExec decodes one exec-encoded program against t. It reads the
-// bytes twice: a first pass checks their structure and counts the calls,
-// arguments and buffer bytes, so every count and length is bounded by the
-// bytes present before anything is allocated; the second fills one backing
-// array each for the calls, their arguments and their buffers, as
-// Prog.Clone does. The result does not alias b. It ends with the same
-// Validate that ParseProg runs.
+// DecodeExec decodes one exec-encoded program against t into a program of
+// its own that does not alias b. It is a one-shot ExecDecoder.
 func DecodeExec(t *Target, b []byte) (*Prog, error) {
+	return new(ExecDecoder).Decode(t, b)
+}
+
+// ExecDecoder decodes exec-encoded programs into storage it reuses: one
+// backing array each for the calls, their arguments and their buffers, as
+// Prog.Clone lays them out. Once the arrays have grown to the largest
+// program seen, a decode allocates only the program's string arguments.
+// The program Decode returns, buffers included, is valid until the next
+// Decode; a caller that keeps a program past that clones it. The zero
+// value is ready to use. An ExecDecoder is not safe for concurrent use.
+type ExecDecoder struct {
+	prog  Prog
+	calls []Call
+	args  []Arg
+	data  []byte
+}
+
+// Decode decodes one exec-encoded program against t. It reads the bytes
+// twice: a first pass checks their structure and counts the calls,
+// arguments and buffer bytes, so every count and length is bounded by the
+// bytes present before anything is allocated; the second fills the
+// decoder's arrays. The result does not alias b. It ends with the same
+// Validate that ParseProg runs.
+func (x *ExecDecoder) Decode(t *Target, b []byte) (*Prog, error) {
 	n, nargs, ndata, err := scanExec(t, b)
 	if err != nil {
 		return nil, err
 	}
 	r := execReader{b: b}
 	r.uvarint() // the call count
-	p := &Prog{Calls: make([]*Call, n)}
-	calls := make([]Call, n)
-	args := make([]Arg, nargs)
-	data := make([]byte, ndata)
-	for i := range calls {
+	p := &x.prog
+	p.Calls = grow(p.Calls, n)
+	x.calls = grow(x.calls, n)
+	x.args = grow(x.args, nargs)
+	x.data = grow(x.data, ndata)
+	args, data := x.args, x.data
+	for i := range x.calls {
 		d := t.calls[r.uvarint()]
 		na := len(d.Args)
-		c := &calls[i]
+		c := &x.calls[i]
 		c.Desc = d
 		c.Args = args[:na:na]
 		args = args[na:]
@@ -122,14 +143,14 @@ func DecodeExec(t *Target, b []byte) (*Prog, error) {
 			switch d.Args[j].Type.Kind {
 			case KindBuffer:
 				l := copy(data, r.bytes())
-				a.Data = data[:l:l]
+				*a = Arg{Data: data[:l:l]}
 				data = data[l:]
 			case KindString, KindFilename:
-				a.Str = string(r.bytes())
+				*a = Arg{Str: string(r.bytes())}
 			case KindResource:
-				a.Ref = int(r.uvarint()) - 1
+				*a = Arg{Ref: int(r.uvarint()) - 1}
 			default:
-				a.Val = r.uvarint()
+				*a = Arg{Val: r.uvarint()}
 			}
 		}
 		p.Calls[i] = c
@@ -138,6 +159,15 @@ func DecodeExec(t *Target, b []byte) (*Prog, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// grow returns s resliced to n elements, reallocated only when its
+// capacity is short. The old contents are not kept.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // scanExec is DecodeExec's first pass: it checks the structure of b and

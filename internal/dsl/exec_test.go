@@ -147,6 +147,52 @@ func TestExecRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestExecDecoderReuse: one ExecDecoder decodes programs of every size,
+// with rejected bytes in between, each to what ParseProg of its text gives;
+// once its arrays have grown, a decode allocates only for string arguments.
+func TestExecDecoderReuse(t *testing.T) {
+	var x dsl.ExecDecoder
+	for id, m := range allProbed() {
+		for i, p := range m.seeds {
+			b, err := dsl.AppendExec(nil, m.target, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := x.Decode(m.target, b)
+			if err != nil {
+				t.Fatalf("model %s seed %d: %v", id, i, err)
+			}
+			if g, w := got.String(), p.String(); g != w {
+				t.Fatalf("model %s seed %d: reused decode differs:\n got %s\nwant %s", id, i, g, w)
+			}
+			if _, err := x.Decode(m.target, b[:len(b)-1]); err == nil {
+				t.Fatalf("model %s seed %d: truncated program decoded", id, i)
+			}
+		}
+	}
+	target, p := seedProg(t)
+	b, err := dsl.AppendExec(nil, target, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strs := 0
+	for _, c := range p.Calls {
+		for j, f := range c.Desc.Args {
+			if k := f.Type.Kind; (k == dsl.KindString || k == dsl.KindFilename) && c.Args[j].Str != "" {
+				strs++
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := x.Decode(target, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(strs) {
+		t.Fatalf("reused decode made %.0f allocations, want at most %d (one per string argument)", allocs, strs)
+	}
+}
+
 // TestAppendExecForeignDesc: a description from another target with the
 // same name encodes against this one, as the text form resolves names; an
 // unknown one is an error.

@@ -158,33 +158,23 @@ func (p *Prog) RemoveCall(idx int) *Prog {
 	return n
 }
 
-// InsertCall returns a copy of the program with call c inserted at idx
-// (0 <= idx <= len). Resource references at or beyond idx are renumbered.
-// References held by c itself must already be valid for the new layout.
-func (p *Prog) InsertCall(idx int, c *Call) *Prog {
-	if idx < 0 {
-		idx = 0
-	}
-	if idx > len(p.Calls) {
-		idx = len(p.Calls)
-	}
-	n := &Prog{Calls: make([]*Call, 0, len(p.Calls)+1)}
-	for i, old := range p.Calls {
-		if i == idx {
-			n.Calls = append(n.Calls, c)
-		}
-		nc := old.Clone()
+// InsertCall inserts call c at idx (clamped to 0..len) in place.
+// Resource references at or beyond idx are renumbered, so the program
+// must be one the caller owns: a clone or a freshly generated one, never
+// shared corpus storage. References held by c itself must already be
+// valid for the new layout.
+func (p *Prog) InsertCall(idx int, c *Call) {
+	idx = max(0, min(idx, len(p.Calls)))
+	p.Calls = append(p.Calls, nil)
+	copy(p.Calls[idx+1:], p.Calls[idx:])
+	p.Calls[idx] = c
+	for _, nc := range p.Calls[idx+1:] {
 		for j := range nc.Args {
 			if nc.Desc.Args[j].Type.Kind == KindResource && nc.Args[j].Ref >= idx {
 				nc.Args[j].Ref++
 			}
 		}
-		n.Calls = append(n.Calls, nc)
 	}
-	if idx == len(p.Calls) {
-		n.Calls = append(n.Calls, c)
-	}
-	return n
 }
 
 // DefaultArg produces a deterministic minimal argument for the field type:

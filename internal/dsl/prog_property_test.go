@@ -74,7 +74,9 @@ func TestRemoveInsertPreserveValidity(t *testing.T) {
 		d := target.Lookup("open$dev")
 		extra := &Call{Desc: d, Args: []Arg{DefaultArg(d.Args[0].Type)}}
 		for i := 0; i <= p.Len(); i++ {
-			if err := p.InsertCall(i, extra.Clone()).Validate(); err != nil {
+			q := p.Clone()
+			q.InsertCall(i, extra.Clone())
+			if err := q.Validate(); err != nil {
 				t.Logf("insert %d: %v", i, err)
 				return false
 			}
@@ -97,8 +99,12 @@ func TestInsertThenRemoveRoundTrip(t *testing.T) {
 		d := target.Lookup("open$dev")
 		extra := &Call{Desc: d, Args: []Arg{DefaultArg(d.Args[0].Type)}}
 		idx := rng.Intn(p.Len() + 1)
-		q := p.InsertCall(idx, extra).RemoveCall(idx)
-		return q.String() == before
+		q := p.Clone()
+		q.InsertCall(idx, extra)
+		if q.Len() != p.Len()+1 || p.String() != before {
+			return false // the insert grew the clone and left p alone
+		}
+		return q.RemoveCall(idx).String() == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@
 package engine
 
 import (
-	"errors"
 	"math/rand"
 	"sync/atomic"
 
@@ -171,6 +170,22 @@ type Engine struct {
 	pristine  []byte
 	inLineage bool
 
+	// resets counts the pristine resets the engine has asked for that the
+	// device has not run yet. The next executor call carries them
+	// (adb.ExecBatchRequest.Resets), so a reset costs no call of its own;
+	// flushResets runs them where no execution follows.
+	resets int
+	// one, oneRes, batch and batchRes are the executor calls' reusable
+	// program and result slots: one and oneRes for a single execution,
+	// batch and batchRes for the loop's calls, whose results stay live
+	// while the feedback that runs single executions folds them back.
+	// rebooted receives each call's reboot count.
+	one      [1]*dsl.Prog
+	oneRes   [1]*adb.ExecResult
+	batch    []*dsl.Prog
+	batchRes []*adb.ExecResult
+	rebooted int
+
 	// Counters are atomics so the daemon's status path can snapshot them
 	// mid-campaign without stalling the engine goroutine. Only the engine
 	// itself writes them.
@@ -282,42 +297,102 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// reset brings the device back to pristine post-boot state through the
-// executor. The executor restores from its boot snapshot when it can (an
-// O(dirty-state) rewind) and falls back to a full reboot otherwise; either
-// way the engine observes a pristine device, so the two paths are
-// interchangeable for campaign determinism and only the counters differ.
-// In-process resets cannot fail; a remote reset that does (broker down
-// mid-campaign) counts against ExecErrors like any other boundary failure
-// and the campaign proceeds — the next execution surfaces the same link
-// trouble anyway.
-func (e *Engine) reset() {
-	restored, err := e.x.Reset()
+// reset brings the device back to pristine post-boot state before the
+// engine's next device operation. The executor restores from its boot
+// snapshot when it can (an O(dirty-state) rewind) and falls back to a full
+// reboot otherwise; either way the engine observes a pristine device, so
+// the two paths are interchangeable for campaign determinism and only the
+// counters differ. The reset is only recorded here: the next executor call
+// carries it, and flushResets runs it where no execution follows, so the
+// device sees the same sequence of operations either way.
+func (e *Engine) reset() { e.resets++ }
+
+// flushResets runs the pending resets as Executor.Reset calls. It is
+// called where no execution follows to carry them: at the end of a
+// campaign slice or of seeding, and before a checkpoint export or import
+// or a reboot. In-process resets cannot fail; a remote reset that does
+// (broker down mid-campaign) counts against ExecErrors like any other
+// boundary failure and the campaign proceeds — the next execution
+// surfaces the same link trouble anyway.
+func (e *Engine) flushResets() {
+	for ; e.resets > 0; e.resets-- {
+		restored, err := e.x.Reset()
+		rebooted := 1
+		if restored {
+			rebooted = 0
+		}
+		e.countResets(1, rebooted, err)
+	}
+}
+
+// countResets books n resets, rebooted of which fell back to a reboot.
+// A failed call books all n as ExecErrors: whether they ran is unknown.
+func (e *Engine) countResets(n, rebooted int, err error) {
 	if err != nil {
-		e.execErrors.Add(1)
+		e.execErrors.Add(uint64(n))
 		return
 	}
-	if restored {
-		e.restores.Add(1)
-	} else {
-		e.reboots.Add(1)
+	e.reboots.Add(int64(rebooted))
+	e.restores.Add(int64(n - rebooted))
+}
+
+// call is the engine's one executor call: it runs progs, carrying the
+// pending resets ahead of them, and fills out with one result per program
+// — nil for each program whose result never arrived (a transport error
+// after retries, a broker rejection). Programs go through ExecBatch, in
+// summary mode when asked; an executor without it gets the same sequence
+// from Reset and ExecProg calls. The results are pooled and owned by the
+// caller.
+func (e *Engine) call(progs []*dsl.Prog, summary bool, out []*adb.ExecResult) {
+	if e.bx == nil {
+		e.flushResets()
+		for i, p := range progs {
+			out[i] = nil
+			if res, err := e.x.ExecProg(p); err == nil {
+				out[i] = res
+			}
+		}
+		return
 	}
+	resets := e.resets
+	e.resets, e.rebooted = 0, 0
+	results, err := e.bx.ExecBatch(adb.ExecBatchRequest{
+		Progs: progs, Summary: summary, Resets: resets, Rebooted: &e.rebooted, Results: out,
+	})
+	e.countResets(resets, e.rebooted, err)
+	if err != nil {
+		results = nil
+	}
+	n := copy(out, results)
+	clear(out[n:])
+	for _, res := range results[n:] {
+		res.Release()
+	}
+}
+
+// execOne runs a single program through call and returns its pooled
+// result, nil when it failed.
+func (e *Engine) execOne(p *dsl.Prog) *adb.ExecResult {
+	e.one[0] = p
+	e.call(e.one[:], false, e.oneRes[:])
+	res := e.oneRes[0]
+	e.one[0], e.oneRes[0] = nil, nil
+	return res
 }
 
 // exec runs one program, bumping virtual time and handling crash fallout.
 // Both returned values are pooled; the caller releases them.
 func (e *Engine) exec(p *dsl.Prog) (*adb.ExecResult, *feedback.Signal) {
-	res, err := e.x.ExecProg(p)
-	return e.afterExec(p, res, err)
+	return e.afterExec(p, e.execOne(p))
 }
 
 // afterExec is the post-execution half of exec, shared with the campaign
 // loop: virtual time, error accounting, and crash fallout (reboot, dedup,
-// triage). res may be nil on error. Both returned values are pooled; the
-// caller releases them.
-func (e *Engine) afterExec(p *dsl.Prog, res *adb.ExecResult, err error) (*adb.ExecResult, *feedback.Signal) {
+// triage). res is nil when the execution failed. Both returned values are
+// pooled; the caller releases them.
+func (e *Engine) afterExec(p *dsl.Prog, res *adb.ExecResult) (*adb.ExecResult, *feedback.Signal) {
 	e.execs.Add(1)
-	if err != nil || res == nil {
+	if res == nil {
 		// Executor errors are surfaced through the ExecErrors counter
 		// rather than silently swallowed; the iteration proceeds on an
 		// empty result so virtual time still advances.
@@ -371,6 +446,7 @@ func (e *Engine) SeedCorpus(progs []*dsl.Prog) {
 		}
 	}
 	e.land()
+	e.flushResets()
 }
 
 // pending is one selected program awaiting execution.
@@ -485,11 +561,12 @@ const DefaultBatchSize = 16
 //     not bit-identical to the serial one: mutation speculates on a view
 //     that admission has advanced L items past.
 //
-// Each executor call carries batch programs: a batch of 1 goes through
-// ExecProg, a larger one through the BatchExecutor extension in summary
-// mode — over a remote link one wire frame per batch and an
-// interesting-only coverage uplink. Executors without the extension run
-// one program per call under the same look-ahead. Results are fed back
+// Each executor call carries batch programs through the BatchExecutor
+// extension, with the resets pending before them: a batch of 1 with exact
+// results, a larger one in summary mode — over a remote link one wire
+// frame per call and an interesting-only coverage uplink. Executors
+// without the extension run one program per call under the same
+// look-ahead. Results are fed back
 // per program in order; a mid-batch crash reboots the device while the
 // rest of the batch still runs, so batched crash timing is coarsened to
 // batch granularity (see DESIGN.md). Relation learns are journaled during
@@ -520,6 +597,7 @@ func (e *Engine) RunSchedule(n, depth, batch int) {
 		}
 		e.execBatch(items, batch, fed)
 	}
+	e.flushResets()
 	e.acc.Snapshot(e.execs.Load())
 }
 
@@ -563,37 +641,30 @@ func (e *Engine) produce(n, lookahead int) (next func() pending, fed func()) {
 	}
 }
 
-// execBatch is the loop's one executor call: it applies the reset mode,
-// ships the items — through ExecProg when batch is 1, otherwise through
-// one ExecBatch — and folds every result back in order,
-// calling fed after each. The call's journaled learns land once the last
-// result is fed back, before its fed hook captures the next view.
-// Programs a batch failed to cover (a transport error after retries, a
-// broker rejection) count as ExecErrors, exactly like a failed single
-// execution.
+// execBatch is the loop's executor call: it applies the reset mode, ships
+// the items in one call — a single program exactly, a batch in summary
+// mode — and folds every result back in order, calling fed after each.
+// The call's journaled learns land once the last result is fed back,
+// before its fed hook captures the next view. Programs the call failed to
+// cover (a transport error after retries, a broker rejection) count as
+// ExecErrors.
 func (e *Engine) execBatch(items []pending, batch int, fed func()) {
 	e.resetBefore(batch)
-	if batch == 1 {
-		it := items[0]
-		res, err := e.x.ExecProg(it.p)
-		res, sig := e.afterExec(it.p, res, err)
-		e.feed(it.p, it.generated, res, sig)
-		e.land()
-		fed()
-		return
+	progs := e.batch[:0]
+	for _, it := range items {
+		progs = append(progs, it.p)
 	}
-	progs := make([]*dsl.Prog, len(items))
-	for i, it := range items {
-		progs[i] = it.p
+	if cap(e.batchRes) < len(items) {
+		e.batchRes = make([]*adb.ExecResult, len(items))
 	}
-	results, _ := e.bx.ExecBatch(adb.ExecBatchRequest{Progs: progs, Summary: true})
+	results := e.batchRes[:len(items)]
+	e.call(progs, batch > 1, results)
+	clear(progs)
+	e.batch = progs
 	for i, it := range items {
-		var res *adb.ExecResult
-		err := errBatchShortfall
-		if i < len(results) && results[i] != nil {
-			res, err = results[i], nil
-		}
-		res, sig := e.afterExec(it.p, res, err)
+		res := results[i]
+		results[i] = nil
+		res, sig := e.afterExec(it.p, res)
 		e.feed(it.p, it.generated, res, sig)
 		if i == len(items)-1 {
 			e.land()
@@ -601,9 +672,6 @@ func (e *Engine) execBatch(items []pending, batch int, fed func()) {
 		fed()
 	}
 }
-
-// errBatchShortfall marks a batched program whose result never arrived.
-var errBatchShortfall = errors.New("engine: batched execution not acknowledged")
 
 // minimize reduces the program to the essential calls that still reproduce
 // all newly found signal elements (paper §IV-C: "minimize the call to the
@@ -642,9 +710,9 @@ func (e *Engine) minimize(p *dsl.Prog, want *feedback.Signal) *dsl.Prog {
 // every element of want; crashes make the check fail (and the caller
 // reboots before the next candidate anyway).
 func (e *Engine) coversOnCurrentBoot(p *dsl.Prog, want *feedback.Signal) bool {
-	res, err := e.x.ExecProg(p)
+	res := e.execOne(p)
 	e.execs.Add(1)
-	if err != nil {
+	if res == nil {
 		e.execErrors.Add(1)
 		return false
 	}
@@ -699,9 +767,9 @@ func (e *Engine) triageCrash(p *dsl.Prog, title string) {
 // crashesWith executes p and reports whether it raises the given
 // (normalized) crash title. The caller reboots afterwards.
 func (e *Engine) crashesWith(p *dsl.Prog, title string) bool {
-	res, err := e.x.ExecProg(p)
+	res := e.execOne(p)
 	e.execs.Add(1)
-	if err != nil {
+	if res == nil {
 		e.execErrors.Add(1)
 		return false
 	}

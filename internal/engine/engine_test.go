@@ -314,6 +314,19 @@ func (b *blindExec) ExecProg(p *dsl.Prog) (*adb.ExecResult, error) {
 	return adb.GetResult(), nil
 }
 
+// ExecBatch records the programs an engine call carries: the resets run on
+// the broker, and every program goes through ExecProg.
+func (b *blindExec) ExecBatch(req adb.ExecBatchRequest) ([]*adb.ExecResult, error) {
+	if _, err := b.Broker.ExecBatch(adb.ExecBatchRequest{Resets: req.Resets, Rebooted: req.Rebooted}); err != nil {
+		return nil, err
+	}
+	out := make([]*adb.ExecResult, len(req.Progs))
+	for i, p := range req.Progs {
+		out[i], _ = b.ExecProg(p)
+	}
+	return out, nil
+}
+
 // TestProducerStreamCarriesAcrossCalls: the look-ahead producer's RNG
 // belongs to the engine, so a second RunSchedule call continues the draw
 // stream instead of re-deriving it from the seed. With engine state frozen

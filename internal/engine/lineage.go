@@ -4,9 +4,10 @@
 // internal/adb.Cloner): a device's full mutable state exports to an opaque
 // blob that can be re-imported later — onto the same device or a clone —
 // in O(state) time, far below a boot plus probing pass. The reset modes
-// use the executor's ordinary Reset (the O(dirty-state) snapshot rewind)
-// to start every program or batch from pristine state, trading a bounded
-// per-exec cost for state-independent, directly-reproducible findings.
+// use the executor's ordinary reset (the O(dirty-state) snapshot rewind,
+// carried by the executor call it precedes) to start every program or
+// batch from pristine state, trading a bounded per-exec cost for
+// state-independent, directly-reproducible findings.
 // The lineage scheduler uses Export/ImportCheckpoint to fork the device
 // state *after* a freshly admitted prefix and fan K independent mutation
 // lineages out from that point, amortizing the prefix execution across
@@ -92,6 +93,7 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 	// post-prefix state.
 	e.reset()
 	if e.pristine == nil {
+		e.flushResets()
 		blob, err := e.cl.ExportCheckpoint()
 		if err != nil {
 			e.execErrors.Add(1)
@@ -99,9 +101,9 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 		}
 		e.pristine = blob
 	}
-	res, err := e.x.ExecProg(prefix)
+	res := e.execOne(prefix)
 	e.execs.Add(1)
-	if err != nil {
+	if res == nil {
 		e.execErrors.Add(1)
 		return
 	}
@@ -127,6 +129,7 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 		// Importing the checkpoint also makes it the state crash-fallout
 		// resets rewind to, so a mid-lineage crash recovers to the
 		// post-prefix fork point, not to boot.
+		e.flushResets()
 		if err := e.cl.ImportCheckpoint(post); err != nil {
 			e.execErrors.Add(1)
 			break
@@ -145,6 +148,7 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 	// import reinstates it as the state later resets rewind to. If even
 	// that fails (remote link down), fall back to a reboot so the
 	// campaign never continues from a half-lineage state.
+	e.flushResets()
 	if err := e.cl.ImportCheckpoint(e.pristine); err != nil {
 		e.execErrors.Add(1)
 		if e.x.Reboot() == nil {
@@ -162,8 +166,7 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 // an extra checkpoint round trip per candidate (DESIGN.md records the
 // tradeoff).
 func (e *Engine) lineageStep(prefix, p *dsl.Prog) {
-	res, err := e.x.ExecProg(p)
-	res, sig := e.afterExec(p, res, err)
+	res, sig := e.afterExec(p, e.execOne(p))
 	e.lineageExecs.Add(1)
 	e.mutated.Add(1)
 	newElems := e.acc.MergeNew(sig)

@@ -14,10 +14,25 @@ import (
 // rebootOnly forces the pre-PR-6 reset behavior: every crash fallout pays
 // a full reboot. The golden-equivalence test runs the same campaign over a
 // restoring broker and over this wrapper; the two must be bit-identical in
-// everything except the Reboots/Restores split.
+// everything except the Reboots/Restores split. The engine's resets ride
+// its executor calls, so the wrapper reboots for the resets an ExecBatch
+// carries as well as for each Reset.
 type rebootOnly struct{ *adb.Broker }
 
 func (r rebootOnly) Reset() (bool, error) { return false, r.Broker.Reboot() }
+
+func (r rebootOnly) ExecBatch(req adb.ExecBatchRequest) ([]*adb.ExecResult, error) {
+	for range req.Resets {
+		r.Reset()
+	}
+	n, rebooted := req.Resets, req.Rebooted
+	req.Resets, req.Rebooted = 0, nil
+	out, err := r.Broker.ExecBatch(req)
+	if rebooted != nil {
+		*rebooted = n
+	}
+	return out, err
+}
 
 // bugTitles returns the deduplicated crash titles of a run, sorted.
 func bugTitles(e *engine.Engine) []string {

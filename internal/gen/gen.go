@@ -216,7 +216,8 @@ func (g *Generator) Generate() *dsl.Prog {
 // producing call when one exists, otherwise instantiate a producer call and
 // insert it as a prefix (paper §IV-C: "find producer calls ... and insert
 // it into the call sequence as a prefix to the current call"). It runs to a
-// fixpoint so producers' own resources resolve transitively.
+// fixpoint so producers' own resources resolve transitively. It edits p in
+// place, so p must be the caller's own program, never corpus storage.
 func (g *Generator) Resolve(p *dsl.Prog) *dsl.Prog {
 	for pass := 0; pass < HardCap; pass++ {
 		inserted := false
@@ -245,8 +246,8 @@ func (g *Generator) Resolve(p *dsl.Prog) *dsl.Prog {
 					continue
 				}
 				prod := g.instantiate(prods[g.rng.Intn(len(prods))])
-				p = p.InsertCall(i, prod)
-				p.Calls[i+1].Args[ai].Ref = i
+				p.InsertCall(i, prod)
+				c.Args[ai].Ref = i
 				inserted = true
 				break
 			}
@@ -396,7 +397,8 @@ func (g *Generator) insertCall(p *dsl.Prog) *dsl.Prog {
 	if desc == nil {
 		return p
 	}
-	return p.InsertCall(pos, g.instantiate(desc))
+	p.InsertCall(pos, g.instantiate(desc))
+	return p
 }
 
 // removeCall drops a random call (keeping at least one).
@@ -474,7 +476,8 @@ func (g *Generator) paramPrefix(p *dsl.Prog) *dsl.Prog {
 			}
 		}
 	}
-	return p.InsertCall(ci, g.instantiate(desc))
+	p.InsertCall(ci, g.instantiate(desc))
+	return p
 }
 
 // splice appends copies of the donor's calls (with internal references

@@ -8,11 +8,14 @@
 # per-layer unit test names the culprit.
 #
 #   remote  droidbrokerd serves A1 and B over TCP; droidfleet -remote runs
-#           a per-program campaign, then a pipelined, batched one
-#           (wire protocol v2). Engines reach the budget with no exec
-#           errors, every engine ships batched execs and saves uplink
-#           bytes, the sanitizer stays silent on the device side, and the
-#           broker exits cleanly on SIGTERM.
+#           a per-program campaign with a pristine reset before every
+#           program (-reset exec), then a pipelined, batched one (wire
+#           protocol v2). Engines reach the budget with no exec errors,
+#           the per-program engines book at least one reset per budgeted
+#           program (the resets ride the exec frames to the broker, and
+#           its replies book them), every batched engine ships batched execs
+#           and saves uplink bytes, the sanitizer stays silent on the
+#           device side, and the broker exits cleanly on SIGTERM.
 #   params  in-process -params campaign: param_writes > 0.
 #   clone   in-process -lineage campaign with batch pristine resets:
 #           lineage_execs > 0, and total execs exceed lineage execs.
@@ -78,7 +81,9 @@ wait_ready() {
 
 # check SCENARIO LABEL ARGS... runs the scenario's status-report
 # assertions:
-#   check remote LABEL BUDGET STATUS [FLEETLOG]  (FLEETLOG: wire lines)
+#   check remote LABEL BUDGET STATUS [FLEETLOG]  (FLEETLOG: wire lines of a
+#                                                batched campaign; without
+#                                                it, a -reset exec one)
 #   check params LABEL BUDGET STATUS
 #   check clone  LABEL BUDGET STATUS
 #   check coord  LABEL STATUS_A STATUS_B COORDLOG
@@ -153,6 +158,14 @@ if scenario == "remote" and len(args) > 2:
     if wires < 2:
         fail(f"{wires} wire-accounting lines printed, want 2")
     summary += f" wires={wires}"
+elif scenario == "remote":
+    # A -reset exec campaign resets before every program it runs.
+    for id, st in sorted(devices.items()):
+        if st["Restores"] + st["Reboots"] < budget:
+            fail(f"engine {id} booked {st['Restores']} restores + {st['Reboots']} reboots, "
+                 f"want at least {budget}")
+    resets = sum(st["Restores"] + st["Reboots"] for st in devices.values())
+    summary += f" resets={resets}"
 elif scenario == "params":
     writes = rep["param_writes"]
     if writes <= 0:
@@ -170,8 +183,9 @@ PY
 }
 
 # smoke_remote BUILD BASEPORT: campaigns against a droidbrokerd serving A1
-# on BASEPORT and B on BASEPORT+1. The plain build runs a per-program and a
-# batched campaign; the sanitize build runs the batched one.
+# on BASEPORT and B on BASEPORT+1. The plain build runs a per-program
+# campaign with -reset exec and a batched campaign; the sanitize build runs
+# the batched one.
 smoke_remote() {
     local build="$1" addr1="127.0.0.1:$2" addr2="127.0.0.1:$(($2 + 1))"
     local log="$WORK/brokerd_$build.log" brokerd fleet
@@ -182,7 +196,7 @@ smoke_remote() {
     wait_ready "$pid" "$log" '^droidbrokerd: ready$'
 
     if [ "$build" = plain ]; then
-        "$fleet" -remote "$addr1,$addr2" -iters 600 -rounds 2 \
+        "$fleet" -remote "$addr1,$addr2" -iters 600 -rounds 2 -reset exec \
             -status "$WORK/remote_$build.json" | tee "$WORK/remote_$build.log"
         check remote "$build" 600 "$WORK/remote_$build.json"
     fi
