@@ -237,6 +237,14 @@ type Server struct {
 	// lets summary-mode batches elide traces carrying no new signal. Nil
 	// disables elision (batches still delta-code their traces).
 	NewFilter func() UplinkFilter
+
+	// mu serializes every request that touches X across the server's
+	// connections. A host that redials while its old connection is still
+	// being served would otherwise run a resubmitted frame at the same
+	// time as the original on the one device, which has one kcov
+	// collector and one device state. Execution is serial per device;
+	// it is not exactly-once.
+	mu sync.Mutex
 }
 
 // Serve runs the device side of the protocol over rw until the stream
@@ -284,8 +292,13 @@ func (s *Server) reply(c *FrameConn, rep *rpcReply) error {
 }
 
 // handle dispatches one request, converting handler panics into error
-// replies so one hostile frame cannot take the broker down.
+// replies so one hostile frame cannot take the broker down. Every request
+// but Ping holds s.mu while it runs.
 func (s *Server) handle(req *rpcRequest, st *connState) (rep rpcReply) {
+	if req.Kind != reqPing {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			rep.release()

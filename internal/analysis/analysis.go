@@ -126,6 +126,7 @@ func DefaultConfig() Config {
 			},
 		},
 		LockTypes: []string{
+			"droidfuzz/internal/adb.Server",
 			"droidfuzz/internal/adb.Stream",
 			"droidfuzz/internal/adb.Resilient",
 			"droidfuzz/internal/feedback.SpecTable",
@@ -169,11 +170,11 @@ func DefaultConfig() Config {
 			"droidfuzz/internal/device.Checkpoint",
 		},
 		SnapshotBuilders: []string{
+			// publishLocked hands the graph's copy-on-write storage to the
+			// snapshot it constructs; buildSnapshotLocked builds the
+			// from-scratch reference the sanitizer compares it with.
+			"droidfuzz/internal/relation.Graph.publishLocked",
 			"droidfuzz/internal/relation.Graph.buildSnapshotLocked",
-			// The row-incremental build shares an earlier snapshot's names,
-			// weights, index and untouched rows, and writes only the fresh
-			// row-header slices of the snapshot it is constructing.
-			"droidfuzz/internal/relation.Graph.rebuildRowsLocked",
 			// Device.Restore maintains the per-entry generation bookkeeping
 			// the Snapshot contract explicitly allows; captureSnapshot and
 			// the Checkpoint methods construct payloads before publication.

@@ -154,6 +154,16 @@ func TestSnapshotPassOnFixture(t *testing.T) {
 	}
 }
 
+func TestSnapshotPassFlagsPublishedRowWrite(t *testing.T) {
+	diags := analysis.Analyze(loadFixture(t), fixtureConfig())
+	// LowerInPlace writes an arc inside a published row; the
+	// copy-then-write LowerCopy beside it stays clean.
+	if got := matching(diags, analysis.PassSnapshot, "rows.go", ""); len(got) != 1 {
+		dump(t, got)
+		t.Errorf("published-row findings = %d, want exactly 1", len(got))
+	}
+}
+
 func TestSnapshotPassFlagsUnregisteredParamStateWrite(t *testing.T) {
 	diags := analysis.Analyze(loadFixture(t), fixtureConfig())
 	// StoreKnob writes a captured knob value from an unregistered function;

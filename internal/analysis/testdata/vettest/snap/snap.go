@@ -12,6 +12,15 @@ type View struct {
 	Weights []float64
 	Index   map[string]int
 	Gen     int
+	// Rows are per-vertex (id, weight) rows, shared with the graph that
+	// published them, as relation.Snapshot's are.
+	Rows [][]Arc
+}
+
+// Arc is one row entry: the vertex at the other end and the edge weight.
+type Arc struct {
+	ID     int32
+	Weight float64
 }
 
 // New is the registered builder: its writes are construction, not
@@ -27,6 +36,10 @@ func New(names []string, weights []float64) *View {
 	sort.Strings(v.Names)
 	for i, name := range v.Names {
 		v.Index[name] = i
+	}
+	v.Rows = make([][]Arc, len(names))
+	for i := range v.Rows {
+		v.Rows[i] = append(v.Rows[i], Arc{ID: int32(i), Weight: 1})
 	}
 	v.Gen = 1
 	return v

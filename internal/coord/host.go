@@ -325,14 +325,10 @@ func (h *Host) collectUplink() *adb.FedBatch {
 		h.lMark[id] += len(fresh)
 		ops = append(ops, fresh...)
 	}
-	g := h.d.Graph()
-	names := g.Names()
-	for _, name := range names[h.vMark:] {
-		w := 0.0
-		if v := g.Vertex(name); v != nil {
-			w = v.Weight
-		}
-		b.Verts = append(b.Verts, adb.FedVertex{Name: name, Weight: w})
+	s := h.d.Graph().Snapshot()
+	names := s.Names()
+	for id := h.vMark; id < len(names); id++ {
+		b.Verts = append(b.Verts, adb.FedVertex{Name: names[id], Weight: s.Weight(int32(id))})
 	}
 	h.vMark = len(names)
 	b.Learns = h.encodeLearns(ops)

@@ -135,7 +135,7 @@ func (e *Engine) lineage(prefix *dsl.Prog) {
 			break
 		}
 		lrng := rand.New(rand.NewSource(int64(uint64(e.cfg.Seed) ^ lineageSalt ^ salt ^ uint64(k+1)*0x9e3779b97f4a7c15)))
-		lgen := gen.New(e.target, e.graph, lrng, e.cfg.Gen)
+		lgen := e.gen.Fork(lrng)
 		lgen.SetView(view.snap)
 		for i := 0; i < e.cfg.LineageLen; i++ {
 			donor := e.corpus.PickN(lrng, view.corpusLen)

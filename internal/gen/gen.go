@@ -61,10 +61,21 @@ type Generator struct {
 	view   *relation.Snapshot
 	rng    *rand.Rand
 	opts   Options
+	vt     *vertexTable
+	// step is the reusable buffer of walk's single relation steps.
+	step []int32
 	// hasParams records whether the target carries runtime-parameter
 	// descriptions. When it is false the param operators are never offered,
 	// so a param-free campaign draws the exact RNG sequence it always did.
 	hasParams bool
+}
+
+// vertexTable maps relation-graph vertex ids to a target's descriptions
+// (descs; nil marks a vertex of another model sharing the graph) and back
+// (ids). It grows as the graph gains vertices (see snap).
+type vertexTable struct {
+	descs []*dsl.CallDesc
+	ids   map[*dsl.CallDesc]int32
 }
 
 // New builds a generator. The graph may be shared across engines.
@@ -72,8 +83,17 @@ func New(target *dsl.Target, graph *relation.Graph, rng *rand.Rand, opts Options
 	opts.defaults()
 	return &Generator{
 		target: target, graph: graph, rng: rng, opts: opts,
+		vt:        &vertexTable{ids: make(map[*dsl.CallDesc]int32, len(target.Calls()))},
 		hasParams: len(target.ParamCalls()) > 0,
 	}
+}
+
+// Fork returns a generator for g's target, graph and options that draws
+// from rng, with no pinned view: it generates exactly what New would with
+// the same arguments. It shares g's vertex-id table instead of building
+// its own, so it must be used on g's goroutine.
+func (g *Generator) Fork(rng *rand.Rand) *Generator {
+	return &Generator{target: g.target, graph: g.graph, rng: rng, opts: g.opts, vt: g.vt, hasParams: g.hasParams}
 }
 
 // Target returns the generator's description target.
@@ -88,12 +108,38 @@ func (g *Generator) Target() *dsl.Target { return g.target }
 func (g *Generator) SetView(s *relation.Snapshot) { g.view = s }
 
 // snap returns the graph view generation reads from: the pinned view when
-// one is set, otherwise the graph's current snapshot.
+// one is set, otherwise the graph's current snapshot. It first extends the
+// id tables to every vertex the view has.
 func (g *Generator) snap() *relation.Snapshot {
-	if g.view != nil {
-		return g.view
+	s := g.view
+	if s == nil {
+		s = g.graph.Snapshot()
 	}
-	return g.graph.Snapshot()
+	if vt, names := g.vt, s.Names(); len(vt.descs) < len(names) {
+		for _, name := range names[len(vt.descs):] {
+			d := g.target.Lookup(name)
+			if d != nil {
+				vt.ids[d] = int32(len(vt.descs))
+			}
+			vt.descs = append(vt.descs, d)
+		}
+	}
+	return s
+}
+
+// descOf returns this target's description of vertex id, or nil when the
+// vertex belongs to another model. The id must come from a view snap
+// returned.
+func (g *Generator) descOf(id int32) *dsl.CallDesc { return g.vt.descs[id] }
+
+// idOf returns d's vertex id, or -1 when the graph lacks it, which reads
+// as a vertex without edges. The id tables must be current: call snap
+// first.
+func (g *Generator) idOf(d *dsl.CallDesc) int32 {
+	if id, ok := g.vt.ids[d]; ok {
+		return id
+	}
+	return -1
 }
 
 // instantiate builds a call with randomized arguments.
@@ -116,32 +162,37 @@ func (g *Generator) randomDesc() *dsl.CallDesc {
 }
 
 // pickBase draws a base invocation: with probability Epsilon a uniform
-// random call (exploration), otherwise by vertex weight (exploitation).
-func (g *Generator) pickBase() string {
+// random call (exploration), otherwise by vertex weight (exploitation). It
+// returns the vertex id and this target's description of it (nil for
+// another model's vertex), and ok false when there is nothing to draw.
+func (g *Generator) pickBase() (id int32, d *dsl.CallDesc, ok bool) {
+	snap := g.snap()
 	if g.rng.Float64() < g.opts.Epsilon {
 		if d := g.randomDesc(); d != nil {
-			return d.Name
+			return g.idOf(d), d, true
 		}
 	}
-	if base := g.snap().PickBase(g.rng); base != "" {
-		return base
+	if id := snap.PickBase(g.rng); id >= 0 {
+		return id, g.descOf(id), true
 	}
 	if d := g.randomDesc(); d != nil {
-		return d.Name
+		return g.idOf(d), d, true
 	}
-	return ""
+	return -1, nil, false
 }
 
-// walk traverses the relation graph from `from`, injecting uniform random
-// detours at rate Epsilon so learned chains stay mixed with fresh calls.
-func (g *Generator) walk(from string, maxLen int) []string {
+// walk traverses the relation graph from vertex `from`, injecting uniform
+// random detours at rate Epsilon so learned chains stay mixed with fresh
+// calls, and appends to path this target's description of each vertex it
+// visits, at most maxLen of them; a nil entry is another model's vertex,
+// which the walk still steps through.
+func (g *Generator) walk(path []*dsl.CallDesc, from int32, maxLen int) []*dsl.CallDesc {
 	// Pin one snapshot for the whole walk: every step reads the same
 	// consistent view lock-free, and concurrent Learns simply land in the
 	// next generation's snapshot.
 	snap := g.snap()
-	var path []string
 	cur := from
-	for len(path) < maxLen {
+	for range maxLen {
 		if g.rng.Float64() < g.opts.StopProb {
 			break
 		}
@@ -150,16 +201,16 @@ func (g *Generator) walk(from string, maxLen int) []string {
 			if d == nil {
 				break
 			}
-			path = append(path, d.Name)
-			cur = d.Name
+			path = append(path, d)
+			cur = g.idOf(d)
 			continue
 		}
-		step := snap.Walk(g.rng, cur, 1, 0)
-		if len(step) == 0 {
+		g.step = snap.Walk(g.step[:0], g.rng, cur, 1, 0)
+		if len(g.step) == 0 {
 			break
 		}
-		path = append(path, step[0])
-		cur = step[0]
+		cur = g.step[0]
+		path = append(path, g.descOf(cur))
 	}
 	return path
 }
@@ -168,7 +219,7 @@ func (g *Generator) walk(from string, maxLen int) []string {
 // relation-graph walk for the dependent calls (or a random tail under
 // NoRelations), then producer resolution.
 func (g *Generator) Generate() *dsl.Prog {
-	var names []string
+	var descs []*dsl.CallDesc
 	maxLen := g.opts.MaxLen
 	if maxLen > HardCap {
 		maxLen = HardCap
@@ -178,7 +229,7 @@ func (g *Generator) Generate() *dsl.Prog {
 		// Randomized dependency generation: uniform draws.
 		for i := 0; i < n; i++ {
 			if d := g.randomDesc(); d != nil {
-				names = append(names, d.Name)
+				descs = append(descs, d)
 			}
 		}
 	} else {
@@ -186,19 +237,19 @@ func (g *Generator) Generate() *dsl.Prog {
 		// weighted base invocations and graph walks; multiple clusters
 		// share resources through producer resolution, which is how
 		// independent learned chains combine into longer
-		// cross-interface interactions.
-		for len(names) < n {
-			base := g.pickBase()
-			if base == "" {
+		// cross-interface interactions. Another model's vertices count
+		// towards the budget but are not instantiated.
+		for len(descs) < n {
+			id, d, ok := g.pickBase()
+			if !ok {
 				break
 			}
-			names = append(names, base)
-			names = append(names, g.walk(base, n-len(names))...)
+			descs = append(descs, d)
+			descs = g.walk(descs, id, n-len(descs))
 		}
 	}
 	p := &dsl.Prog{}
-	for _, name := range names {
-		d := g.target.Lookup(name)
+	for _, d := range descs {
 		if d == nil {
 			continue
 		}
@@ -386,9 +437,10 @@ func (g *Generator) insertCall(p *dsl.Prog) *dsl.Prog {
 	if !g.opts.NoRelations && pos > 0 {
 		// Snapshot successors are read-only shared storage: no per-call
 		// copy, no graph lock.
-		succ := g.snap().Successors(p.Calls[pos-1].Desc.Name)
+		snap := g.snap()
+		succ := snap.Successors(g.idOf(p.Calls[pos-1].Desc))
 		if len(succ) > 0 && g.rng.Float64() < 0.7 {
-			desc = g.target.Lookup(succ[g.rng.Intn(len(succ))].To)
+			desc = g.descOf(succ[g.rng.Intn(len(succ))].ID)
 		}
 	}
 	if desc == nil {
@@ -417,16 +469,15 @@ func (g *Generator) appendWalk(p *dsl.Prog) *dsl.Prog {
 	if p.Len() == 0 || p.Len() >= HardCap {
 		return p
 	}
-	last := p.Calls[p.Len()-1].Desc.Name
-	names := g.walk(last, 3)
-	if len(names) == 0 {
-		if base := g.pickBase(); base != "" {
-			names = append(names, base)
-			names = append(names, g.walk(base, 2)...)
+	g.snap() // the id tables must cover the last call's vertex
+	descs := g.walk(nil, g.idOf(p.Calls[p.Len()-1].Desc), 3)
+	if len(descs) == 0 {
+		if id, d, ok := g.pickBase(); ok {
+			descs = append(descs, d)
+			descs = g.walk(descs, id, 2)
 		}
 	}
-	for _, name := range names {
-		d := g.target.Lookup(name)
+	for _, d := range descs {
 		if d == nil || p.Len() >= HardCap {
 			continue
 		}
@@ -449,8 +500,9 @@ func (g *Generator) paramPrefix(p *dsl.Prog) *dsl.Prog {
 	var cands []*dsl.CallDesc
 	var weights []float64
 	var total float64
-	for _, e := range g.snap().Predecessors(p.Calls[ci].Desc.Name) {
-		d := g.target.Lookup(e.From)
+	snap := g.snap()
+	for _, e := range snap.Predecessors(g.idOf(p.Calls[ci].Desc)) {
+		d := g.descOf(e.ID)
 		if d == nil || d.Class != dsl.ClassParam {
 			continue
 		}

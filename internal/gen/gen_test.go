@@ -272,3 +272,45 @@ func TestMutateLeavesInputsUntouched(t *testing.T) {
 		})
 	}
 }
+
+// TestForkMatchesNew: a fork shares its parent's vertex-id table but
+// otherwise generates and mutates exactly what a fresh generator with the
+// same RNG does, also after the shared graph gains vertices of another
+// model that the table must grow to cover.
+func TestForkMatchesNew(t *testing.T) {
+	base := newGen(t, 1, Options{})
+	for i := 0; i < 400; i++ {
+		prev := base.Generate()
+		p := base.Generate()
+		for j := 1; j < p.Len(); j++ {
+			base.graph.Learn(p.Calls[j-1].Desc.Name, p.Calls[j].Desc.Name)
+		}
+		if i%100 == 0 {
+			// A vertex the target lacks, tied into learned chains.
+			other := "hal$foreign.m" + string(rune('a'+i/100))
+			base.graph.AddVertex(other, 0.5)
+			base.graph.Learn(prev.Calls[0].Desc.Name, other)
+			base.graph.Learn(other, p.Calls[0].Desc.Name)
+		}
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		fresh := New(base.target, base.graph, rand.New(rand.NewSource(seed)), Options{})
+		fork := base.Fork(rand.New(rand.NewSource(seed)))
+		// The fork grows the shared table over this one.
+		other := "hal$foreign.s" + string(rune('a'+seed))
+		base.graph.AddVertex(other, 0.9)
+		base.graph.Learn("ioctl$NFC_POWER", other)
+		base.graph.Learn(other, "ioctl$NFC_RAW_XFER")
+		for i := 0; i < 100; i++ {
+			a, b := fresh.Generate(), fork.Generate()
+			if a.String() != b.String() {
+				t.Fatalf("seed %d, program %d: fork generated\n%s\nnew generated\n%s", seed, i, b, a)
+			}
+			ma, _ := fresh.Mutate(a, b)
+			mb, _ := fork.Mutate(b, a)
+			if ma.String() != mb.String() {
+				t.Fatalf("seed %d, mutant %d differs", seed, i)
+			}
+		}
+	}
+}

@@ -53,3 +53,58 @@ func BenchmarkSnapshotAfterLearn(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(names)), "vertices")
 }
+
+// fleetEdges is the edge count a traced fleet-2host campaign ends at.
+const fleetEdges = 6400
+
+// fleetGraph returns the Table I graph grown by random learns to the size
+// of the fleet's shared graph, and the pair source that grew it.
+func fleetGraph(b *testing.B) (*relation.Graph, func() (string, string)) {
+	b.Helper()
+	g := tableIGraph(b)
+	names := g.Names()
+	rng := rand.New(rand.NewSource(1))
+	pair := func() (string, string) {
+		return names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+	}
+	for g.Edges() < fleetEdges {
+		g.Learn(pair())
+	}
+	return g, pair
+}
+
+// BenchmarkDecaySnapshot measures the periodic decay at fleet scale: a
+// Decay followed by the Snapshot read that republishes the view. Between
+// iterations, untimed, the graph learns its way back to fleetEdges and
+// publishes, as the executions between two decays do.
+func BenchmarkDecaySnapshot(b *testing.B) {
+	g, pair := fleetGraph(b)
+	g.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Decay(0.9, 0.01)
+		g.Snapshot()
+		b.StopTimer()
+		for g.Edges() < fleetEdges {
+			g.Learn(pair())
+		}
+		g.Snapshot()
+		b.StartTimer()
+	}
+	b.ReportMetric(fleetEdges, "edges")
+}
+
+// BenchmarkWalk measures one relation-guided generation step at fleet
+// scale: a weighted base pick plus a walk of up to 6 steps from it.
+func BenchmarkWalk(b *testing.B) {
+	g, _ := fleetGraph(b)
+	s := g.Snapshot()
+	rng := rand.New(rand.NewSource(2))
+	var path []int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		path = s.Walk(path[:0], rng, s.PickBase(rng), 6, 0)
+	}
+}

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -20,9 +21,23 @@ func TestCheckInvariantsCleanGraph(t *testing.T) {
 	}
 }
 
+// edgeArc returns the arc of from→to in from's out-row, or with in set the
+// mirror arc in to's in-row, ready to be overwritten. The row is made
+// writable the copy-on-write way, so the corruption it enables is the one
+// a buggy mutation would leave behind, not a write after publication.
+func edgeArc(g *Graph, from, to string, in bool) *Arc {
+	a, b := g.ids[from], g.ids[to]
+	if in {
+		row := *g.mutRow(b, true)
+		return &row[find(row, a)]
+	}
+	row := *g.mutRow(a, false)
+	return &row[find(row, b)]
+}
+
 // TestCheckInvariantsDetectsCorruption: each hand-broken invariant is
-// reported. The graph internals are reached directly (same package) the
-// way a buggy mutation would reach them.
+// reported. The graph's rows are reached directly (same package) the way
+// a buggy mutation would reach them.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	build := func() *Graph {
 		g := New()
@@ -36,30 +51,32 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 
 	t.Run("mirror-mismatch", func(t *testing.T) {
 		g := build()
-		g.verts["a"].Out["b"] = 0.9 // In side still holds the old weight
+		edgeArc(g, "a", "b", false).Weight = 0.9 // in-row still holds the old weight
 		if err := g.CheckInvariants(); err == nil {
 			t.Fatal("mirror mismatch not detected")
 		}
 	})
 	t.Run("missing-in-mirror", func(t *testing.T) {
 		g := build()
-		delete(g.verts["b"].In, "a")
+		row := g.mutRow(g.ids["b"], true)
+		i := find(*row, g.ids["a"])
+		*row = slices.Delete(*row, i, i+1)
 		if err := g.CheckInvariants(); err == nil {
-			t.Fatal("missing In mirror not detected")
+			t.Fatal("missing in-row mirror not detected")
 		}
 	})
 	t.Run("weight-above-one", func(t *testing.T) {
 		g := build()
-		g.verts["a"].Out["b"] = 1.5
-		g.verts["b"].In["a"] = 1.5
+		edgeArc(g, "a", "b", false).Weight = 1.5
+		edgeArc(g, "a", "b", true).Weight = 1.5
 		if err := g.CheckInvariants(); err == nil {
 			t.Fatal("weight > 1 not detected")
 		}
 	})
 	t.Run("negative-weight", func(t *testing.T) {
 		g := build()
-		g.verts["a"].Out["b"] = -0.25
-		g.verts["b"].In["a"] = -0.25
+		edgeArc(g, "a", "b", false).Weight = -0.25
+		edgeArc(g, "a", "b", true).Weight = -0.25
 		if err := g.CheckInvariants(); err == nil {
 			t.Fatal("negative weight not detected")
 		}
@@ -68,10 +85,10 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		g := build()
 		// Both mirrored consistently, but the in-weights of b sum past 1:
 		// the Eq. (1) normalization violation.
-		g.verts["a"].Out["b"] = 0.8
-		g.verts["b"].In["a"] = 0.8
-		g.verts["c"].Out["b"] = 0.8
-		g.verts["b"].In["c"] = 0.8
+		edgeArc(g, "a", "b", false).Weight = 0.8
+		edgeArc(g, "a", "b", true).Weight = 0.8
+		edgeArc(g, "c", "b", false).Weight = 0.8
+		edgeArc(g, "c", "b", true).Weight = 0.8
 		if err := g.CheckInvariants(); err == nil {
 			t.Fatal("in-weight sum > 1 not detected")
 		}
@@ -87,11 +104,11 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 
 // TestGraphInvariantsWithMixedParamLearns interleaves param-write and ioctl
 // vertices through random Learn/Decay/AddVertex sequences, the shape a
-// param-enabled campaign produces: Eq. (1) normalization, the Out/In
+// param-enabled campaign produces: Eq. (1) normalization, the out/in
 // mirror, and the published snapshot's Successors/Predecessors views must
 // all stay consistent with both call classes in the graph. After every op
-// the published snapshot — row-incremental after Learns, from scratch after
-// AddVertex and Decay — must equal a from-scratch build.
+// the published snapshot — the graph's copy-on-write rows as Learn,
+// Decay and AddVertex left them — must equal a from-scratch build.
 func TestGraphInvariantsWithMixedParamLearns(t *testing.T) {
 	base := []string{
 		"param$tcpc.max_contract_mv", "param$tcpc.pd_compliance",
@@ -140,29 +157,31 @@ func TestGraphInvariantsWithMixedParamLearns(t *testing.T) {
 				// successor edge a→b appears among b's predecessors with
 				// the same weight, and vice versa — param and ioctl
 				// vertices alike.
-				for _, a := range names {
+				sn := s.Names()
+				for i := range sn {
+					a := int32(i)
 					for _, e := range s.Successors(a) {
 						found := false
-						for _, p := range s.Predecessors(e.To) {
-							if p.From == a && p.Weight == e.Weight {
+						for _, p := range s.Predecessors(e.ID) {
+							if p.ID == a && p.Weight == e.Weight {
 								found = true
 							}
 						}
 						if !found {
 							t.Fatalf("op %d: edge %s→%s (w=%g) missing from Predecessors(%s)",
-								op, a, e.To, e.Weight, e.To)
+								op, sn[a], sn[e.ID], e.Weight, sn[e.ID])
 						}
 					}
 					for _, e := range s.Predecessors(a) {
 						found := false
-						for _, sc := range s.Successors(e.From) {
-							if sc.To == a && sc.Weight == e.Weight {
+						for _, sc := range s.Successors(e.ID) {
+							if sc.ID == a && sc.Weight == e.Weight {
 								found = true
 							}
 						}
 						if !found {
 							t.Fatalf("op %d: edge %s→%s (w=%g) missing from Successors(%s)",
-								op, e.From, a, e.Weight, e.From)
+								op, sn[e.ID], sn[a], e.Weight, sn[e.ID])
 						}
 					}
 				}

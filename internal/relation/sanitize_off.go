@@ -21,6 +21,6 @@ func (g *Graph) sanSealLocked(*Snapshot) {}
 
 func (g *Graph) sanVerifySnapLocked() {}
 
-// sanCheckRebuildLocked is a no-op in normal builds; the sanitize build
-// compares each row-incremental snapshot with a from-scratch one.
-func (g *Graph) sanCheckRebuildLocked(*Snapshot) {}
+// sanCheckBuildLocked is a no-op in normal builds; the sanitize build
+// compares each snapshot it publishes with a from-scratch build.
+func (g *Graph) sanCheckBuildLocked(*Snapshot) {}

@@ -30,10 +30,11 @@ func (g *Graph) sanSealLocked(s *Snapshot) {
 }
 
 // sanVerifySnapLocked panics if the last published snapshot was mutated
-// after publication; g.mu must be held. Called before every rebuild (a
-// row-incremental build shares the previous snapshot's rows, so a write
-// into one must be reported as what it is, not as a diverging rebuild) and
-// from CheckInvariants, so the engine's per-step sanitize sweep covers it too.
+// after publication; g.mu must be held. The graph shares its storage with
+// that snapshot, so a write into a published row would change both; it is
+// checked after every mutation (sanCheck), before every publish, and from
+// CheckInvariants, so the engine's per-step sanitize sweep covers it too,
+// and it is reported as what it is rather than as a broken invariant.
 func (g *Graph) sanVerifySnapLocked() {
 	p := g.san.last
 	if p == nil {
@@ -44,17 +45,18 @@ func (g *Graph) sanVerifySnapLocked() {
 	}
 }
 
-// sanCheckRebuildLocked panics if a row-incremental snapshot differs in
-// anything from a from-scratch build of the same graph; g.mu must be held.
-// A Learn that forgets to mark a row it changed would otherwise publish a
-// stale sorted row and skew every later walk without failing anything.
-func (g *Graph) sanCheckRebuildLocked(s *Snapshot) {
+// sanCheckBuildLocked panics if a snapshot about to be published differs
+// in anything from a from-scratch build of the same graph; g.mu must be
+// held. A mutation that leaves a row out of order, or one row's mirror
+// stale, would otherwise publish it and skew every later walk without
+// failing anything.
+func (g *Graph) sanCheckBuildLocked(s *Snapshot) {
 	if err := diffSnapshots(s, g.buildSnapshotLocked()); err != nil {
-		panic(fmt.Sprintf("droidfuzz_sanitize: row-incremental relation.Snapshot diverges from a full rebuild: %v", err))
+		panic(fmt.Sprintf("droidfuzz_sanitize: published relation.Snapshot diverges from a full rebuild: %v", err))
 	}
 }
 
-// fingerprint hashes every name, weight and edge of the snapshot with
+// fingerprint hashes every name, weight and arc of the snapshot with
 // FNV-1a; any single-bit mutation of the published view changes it.
 func (s *Snapshot) fingerprint() uint64 {
 	const (
@@ -77,20 +79,20 @@ func (s *Snapshot) fingerprint() uint64 {
 		h ^= 0xff
 		h *= prime64
 	}
-	for i, name := range s.names {
-		str(name)
-		mix(math.Float64bits(s.weights[i]))
-		for _, e := range s.succ[i] {
-			str(e.From)
-			str(e.To)
-			mix(math.Float64bits(e.Weight))
-		}
-		for _, e := range s.pred[i] {
-			str(e.From)
-			str(e.To)
+	row := func(r []Arc) {
+		mix(uint64(len(r)))
+		for _, e := range r {
+			mix(uint64(uint32(e.ID)))
 			mix(math.Float64bits(e.Weight))
 		}
 	}
+	for i, name := range s.names {
+		str(name)
+		mix(math.Float64bits(s.weights[i]))
+		row(s.Successors(int32(i)))
+		row(s.Predecessors(int32(i)))
+	}
+	mix(math.Float64bits(s.total))
 	mix(uint64(s.edges))
 	mix(s.learns)
 	return h
@@ -100,7 +102,9 @@ func (s *Snapshot) fingerprint() uint64 {
 // while g.mu is still held, and panics on the first violation — in a
 // sanitize build a broken graph must stop the campaign at the mutation
 // that broke it, not surface later as skewed generation probabilities.
+// The published snapshot's seal is verified first.
 func (g *Graph) sanCheck(op string, minWeight float64) {
+	g.sanVerifySnapLocked()
 	if err := g.checkInvariantsLocked(minWeight); err != nil {
 		panic(fmt.Sprintf("droidfuzz_sanitize: relation.Graph invariant violated after %s: %v", op, err))
 	}

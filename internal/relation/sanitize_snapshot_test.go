@@ -8,8 +8,9 @@ import (
 )
 
 // TestMutatedSnapshotPanics: writing into a published snapshot (here via
-// the shared Successors storage) must panic at the next reseal with a
-// message naming the immutability contract.
+// the shared Successors storage, which is the graph's own row until the
+// graph copies it) must panic at the next mutation's or publish's seal
+// check with a message naming the immutability contract.
 func TestMutatedSnapshotPanics(t *testing.T) {
 	g := New()
 	for _, n := range []string{"a", "b", "c"} {
@@ -17,13 +18,12 @@ func TestMutatedSnapshotPanics(t *testing.T) {
 	}
 	g.Learn("a", "b")
 	s := g.Snapshot()
-	succ := s.Successors("a")
+	succ := s.Successors(0)
 	if len(succ) == 0 {
 		t.Fatal("fixture has no a-successors")
 	}
 	succ[0].Weight = 99 // illegal: snapshot storage is shared read-only
 
-	g.Learn("b", "c") // invalidates; next read reseals and verifies
 	var msg string
 	func() {
 		defer func() {
@@ -31,10 +31,11 @@ func TestMutatedSnapshotPanics(t *testing.T) {
 				msg = r.(string)
 			}
 		}()
-		_ = g.Snapshot()
+		g.Learn("b", "c") // verifies the seal after mutating
+		_ = g.Snapshot()  // and so does the next publish
 	}()
 	if msg == "" {
-		t.Fatal("mutated published snapshot did not panic on reseal")
+		t.Fatal("mutated published snapshot did not panic")
 	}
 	if !strings.Contains(msg, "relation.Snapshot") || !strings.Contains(msg, "immutable") {
 		t.Fatalf("unhelpful panic message: %q", msg)
@@ -60,21 +61,23 @@ func TestUntouchedSnapshotReseals(t *testing.T) {
 	}
 }
 
-// TestUnmarkedRowChangePanics: an edge changed without its row marked
-// dirty — the bug a Learn that forgets a sibling would have — must make
-// the next row-incremental build panic, naming the stale row.
+// TestUnmarkedRowChangePanics: a row left out of order by a mutation that
+// wrote it the copy-on-write way — the bug a Learn that forgets to
+// re-position an arc would have — must make the next publish panic,
+// naming the stale row.
 func TestUnmarkedRowChangePanics(t *testing.T) {
 	g := New()
-	for _, n := range []string{"a", "b", "c"} {
+	for _, n := range []string{"a", "b", "c", "d"} {
 		g.AddVertex(n, 0.3)
 	}
 	g.Learn("a", "b")
+	g.Learn("a", "c")
 	_ = g.Snapshot()
-	// Rewrite a→b on both mirrors behind the dirty tracking, then Learn an
-	// unrelated pair so the next read takes the incremental path.
-	g.verts["a"].Out["b"] = 0.5
-	g.verts["b"].In["a"] = 0.5
-	g.Learn("b", "c")
+	// Lower a→b on both mirrors without moving it behind a→c, then Learn
+	// an unrelated pair so the graph has something to publish.
+	edgeArc(g, "a", "b", false).Weight = 0.5
+	edgeArc(g, "a", "b", true).Weight = 0.5
+	g.Learn("c", "d")
 	var msg string
 	func() {
 		defer func() {
@@ -85,7 +88,7 @@ func TestUnmarkedRowChangePanics(t *testing.T) {
 		_ = g.Snapshot()
 	}()
 	if msg == "" {
-		t.Fatal("stale incremental row did not panic")
+		t.Fatal("out-of-order row did not panic")
 	}
 	if !strings.Contains(msg, "full rebuild") || !strings.Contains(msg, `row of "a"`) {
 		t.Fatalf("panic does not name the stale row: %q", msg)

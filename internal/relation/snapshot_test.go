@@ -62,21 +62,22 @@ func TestSnapshotMatchesGraphReads(t *testing.T) {
 	if !reflect.DeepEqual(s.Names(), g.Names()) {
 		t.Fatalf("names diverge: %v vs %v", s.Names(), g.Names())
 	}
-	for _, n := range g.Names() {
+	names := s.Names()
+	for id, n := range names {
 		gs := g.Successors(n)
-		ss := s.Successors(n)
+		ss := s.Successors(int32(id))
 		if len(gs) != len(ss) {
 			t.Fatalf("successor count of %s diverges: %v vs %v", n, gs, ss)
 		}
 		for i := range gs {
-			if gs[i] != ss[i] {
-				t.Fatalf("successor %d of %s diverges: %+v vs %+v", i, n, gs[i], ss[i])
+			if want := (Edge{From: n, To: names[ss[i].ID], Weight: ss[i].Weight}); gs[i] != want {
+				t.Fatalf("successor %d of %s diverges: %+v vs %+v", i, n, gs[i], want)
 			}
 		}
 		if len(gs) > 0 {
 			// Graph.Successors must hand back a private copy.
 			gs[0].Weight = -1
-			if s.Successors(n)[0].Weight == -1 {
+			if s.Successors(int32(id))[0].Weight == -1 {
 				t.Fatal("Graph.Successors aliases snapshot storage")
 			}
 		}
@@ -86,7 +87,7 @@ func TestSnapshotMatchesGraphReads(t *testing.T) {
 	r1 := rand.New(rand.NewSource(42))
 	r2 := rand.New(rand.NewSource(42))
 	for i := 0; i < 200; i++ {
-		if got, want := g.PickBase(r1), s.PickBase(r2); got != want {
+		if got, want := g.PickBase(r1), names[s.PickBase(r2)]; got != want {
 			t.Fatalf("PickBase diverged at %d: %q vs %q", i, got, want)
 		}
 	}
@@ -94,7 +95,10 @@ func TestSnapshotMatchesGraphReads(t *testing.T) {
 	r2 = rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		gw := g.Walk(r1, "a", 4, 0.2)
-		sw := s.Walk(r2, "a", 4, 0.2)
+		var sw []string
+		for _, id := range s.Walk(nil, r2, 0, 4, 0.2) {
+			sw = append(sw, names[id])
+		}
 		if !reflect.DeepEqual(gw, sw) {
 			t.Fatalf("Walk diverged at %d: %v vs %v", i, gw, sw)
 		}
@@ -170,8 +174,8 @@ func TestSnapshotConcurrentReadsAndMutations(t *testing.T) {
 				}
 				s := g.Snapshot()
 				_ = s.PickBase(rng)
-				_ = s.Walk(rng, "a", 3, 0.1)
-				_ = s.Successors("b")
+				_ = s.Walk(nil, rng, 0, 3, 0.1)
+				_ = s.Successors(1)
 			}
 		}(int64(r + 1))
 	}
